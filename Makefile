@@ -45,21 +45,23 @@ chaos-smoke:
 		--engines batched reference --preset smoke \
 		--workers 2 --timeout 120
 
-## Durability smoke: SIGKILL a journaled ~50-cell campaign mid-flight
-## (deterministically, after the 20th finished cell becomes durable),
-## resume it, and assert via the journal's own event log that not one
-## finished cell was re-executed. The kill step exits 137 by design (the
-## leading '-' ignores it); the resume and the doctor assertion gate.
+## Durability smoke: SIGKILL a ~50-cell --store campaign mid-flight
+## (deterministically, right after the 20th finished cell becomes durable
+## in the store — the whole run must die, exit 137), resume it from the
+## store with two spawned workers, and assert via the store's own event
+## log that not one cell produced a second terminal result.
 RESUME_SMOKE_DIR := .resume-smoke
 resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
-	-REPRO_JOURNAL_CRASH_AFTER=finished:20 $(PYTHON) -m repro.cli chaos \
+	REPRO_STORE_CRASH_AFTER=finish:20 $(PYTHON) -m repro.cli chaos \
 		--algorithms alg1 --sizes 7:2 --seeds 0 1 2 3 4 5 6 7 8 9 \
-		--chaos-seeds 0 1 --drop 0.05 0.1 --workers 2 --timeout 120 \
-		--journal $(RESUME_SMOKE_DIR) --run-id smoke
-	$(PYTHON) -m repro.cli runs resume smoke --runs-dir $(RESUME_SMOKE_DIR) \
+		--chaos-seeds 0 1 --drop 0.05 0.1 --workers 1 --timeout 120 \
+		--store $(RESUME_SMOKE_DIR)/store --run-id smoke; \
+		CODE=$$?; echo "resume-smoke: kill step exited $$CODE"; \
+		[ $$CODE -eq 137 ]
+	$(PYTHON) -m repro.cli runs resume --store $(RESUME_SMOKE_DIR)/store \
 		--workers 2
-	$(PYTHON) -m repro.cli runs doctor smoke --runs-dir $(RESUME_SMOKE_DIR) \
+	$(PYTHON) -m repro.cli runs doctor --store $(RESUME_SMOKE_DIR)/store \
 		--assert-no-reexecution
 	rm -rf $(RESUME_SMOKE_DIR)
 

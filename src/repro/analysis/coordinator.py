@@ -18,11 +18,17 @@ arrangements:
   their results.
 
 While streaming, the coordinator *polices* the fabric: expired leases are
-reclaimed (a dead worker costs one lease window, not the run), the store's
-event log is drained for accounting (retries, reclaims), and — when a
-:class:`~repro.analysis.journal.RunJournal` is attached — claim/reclaim
-events are mirrored into the journal as ``leased``/``reclaimed`` records so
-``runs doctor`` sees fabric runs too.
+reclaimed (a dead worker costs one lease window, not the run) and the
+store's event log is drained for accounting (retries, reclaims).
+
+:meth:`Coordinator.stream` is the one durable run loop, so it also owns
+**graceful drain**: on the first SIGINT/SIGTERM it stops the in-process
+worker after its in-flight cell (or SIGTERMs the spawned workers, which
+do the same), waits for them, records an ``interrupted`` store event and
+raises :class:`~repro.sim.errors.RunInterrupted` — everything finished so
+far is durable in the store, and re-running against the same store
+resumes. A second signal kills outright. Handlers are installed only on
+the main thread and restored afterwards.
 
 :meth:`Coordinator.stream` is a generator and holds **O(1)** row state: one
 decoded row is yielded at a time and nothing is retained, so aggregating a
@@ -34,16 +40,17 @@ into the ordered list the legacy executor returns.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Set
 
-from ..sim.errors import StoreError
+from ..sim.errors import RunInterrupted, StoreError
 from .executor import ResultCache, logger
-from .journal import RunJournal
 from .store import DEFAULT_LEASE_S, ResultStore, open_store
 from .supervisor import CellBudget
 from .worker import RUNNERS, Worker
@@ -94,7 +101,6 @@ class Coordinator:
         retries: int = 1,
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = 0.1,
-        journal: Optional[RunJournal] = None,
         coordinator_only: bool = False,
     ) -> None:
         self.store: ResultStore = open_store(store)
@@ -109,10 +115,13 @@ class Coordinator:
         self.retries = retries
         self.lease_s = lease_s
         self.poll_s = poll_s
-        self.journal = journal
         self.coordinator_only = coordinator_only
         self.stats = CoordinatorStats()
         self._event_cursor = None
+        #: Name of the first drain signal received (``None`` while running).
+        self._preempted: Optional[str] = None
+        self._inline: Optional[Worker] = None
+        self._procs: List[subprocess.Popen] = []
 
     # ------------------------------------------------------------------ API
 
@@ -139,7 +148,8 @@ class Coordinator:
         cache, arranges execution per the constructor's knobs, and then
         streams: each ``next()`` blocks until the next cell in order has a
         terminal record, polices the fabric while waiting, and yields the
-        decoded row without retaining it.
+        decoded row without retaining it. A SIGINT/SIGTERM drains the
+        workers and raises :class:`~repro.sim.errors.RunInterrupted`.
         """
         start = time.perf_counter()
         try:
@@ -175,28 +185,33 @@ class Coordinator:
             self.stats.from_cache = len(prefilled)
 
         procs: List[subprocess.Popen] = []
+        self._procs, self._inline, self._preempted = procs, None, None
+        previous = self._install_signal_handlers()
         try:
             if self.coordinator_only or self.store.complete:
                 pass
             elif self.workers == 1:
                 # In-process: run the store dry first, then stream — the
                 # single-host arrangement, deterministic and subprocess-free.
-                Worker(
+                self._inline = Worker(
                     self.store,
                     worker_id=f"{run_id}-inline",
                     budget=self.budget,
                     retries=self.retries,
                     lease_s=self.lease_s,
                     run_hook=self.run_hook,
-                ).run()
+                )
+                self._inline.run()
             else:
-                procs = [
+                procs.extend(
                     self._spawn_worker(run_id, i) for i in range(self.workers)
-                ]
+                )
 
             for index in range(len(cells)):
                 record = self.store.terminal(index)
                 while record is None:
+                    if self._preempted is not None:
+                        self._drain(procs, run_id)
                     self._police(procs)
                     time.sleep(self.poll_s)
                     record = self.store.terminal(index)
@@ -207,11 +222,61 @@ class Coordinator:
                 )
             self._police(procs)
         finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
             self._stop_workers(procs)
             self.stats.executed = (
                 len(cells) - len(restored) - len(prefilled)
             )
             self.stats.elapsed_s = time.perf_counter() - start
+
+    # ---------------------------------------------------------------- drain
+
+    def _install_signal_handlers(self) -> dict:
+        """Route SIGINT/SIGTERM to :meth:`_on_signal` (main thread only);
+        returns the previous handlers for restoration."""
+        if threading.current_thread() is not threading.main_thread():
+            return {}
+        return {
+            signum: signal.signal(signum, self._on_signal)
+            for signum in (signal.SIGINT, signal.SIGTERM)
+        }
+
+    def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
+        name = signal.Signals(signum).name
+        if self._preempted is None:
+            self._preempted = name
+            logger.warning(
+                "%s received: draining in-flight cells (repeat to abort)",
+                name,
+            )
+            if self._inline is not None:
+                self._inline.stop()
+            return
+        for proc in self._procs:
+            if proc.poll() is None:
+                proc.kill()
+        raise RunInterrupted(f"{name} again: aborted without draining")
+
+    def _drain(self, procs: List[subprocess.Popen], run_id: str) -> None:
+        """Let every worker finish its in-flight cell, then stop the run."""
+        for proc in procs:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in procs:
+            proc.wait()
+        self.store.record_event("interrupted")
+        counts = self.store.counts()
+        cells = counts["cells"]
+        remaining = counts["leased"] + counts["pending"]
+        raise RunInterrupted(
+            f"{self._preempted}: drained fabric run {run_id!r} "
+            f"({cells - remaining} of {cells} cells done, {remaining} "
+            f"remaining)",
+            run_id=run_id,
+            completed=cells - remaining,
+            remaining=remaining,
+        )
 
     # ------------------------------------------------------------- internals
 
@@ -240,17 +305,10 @@ class Coordinator:
         events, self._event_cursor = self.store.events_since(
             self._event_cursor
         )
-        for event in events:
-            name = event.get("event")
-            if name == "retried":
-                self.stats.retried += 1
-            if self.journal is not None and name in ("claimed", "reclaimed"):
-                record = "leased" if name == "claimed" else "reclaimed"
-                self.journal.append(
-                    record, cell=event.get("cell"),
-                    worker=event.get("worker"),
-                )
-        if not procs or self.store.complete:
+        self.stats.retried += sum(
+            1 for event in events if event.get("event") == "retried"
+        )
+        if not procs or self._preempted is not None or self.store.complete:
             return
         for i, proc in enumerate(procs):
             if proc.poll() is not None:

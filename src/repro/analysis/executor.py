@@ -34,7 +34,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -49,7 +49,7 @@ from typing import (
 from ..sim import DEFAULT_ENGINE, FaultPlan, SystemModel
 from ..workloads.ids import make_ids
 from .experiments import ExperimentRecord, run_experiment
-from .journal import RunJournal, config_fingerprint
+from .journal import config_fingerprint
 from .properties import PropertyReport
 from .store import LocalDirStore
 
@@ -84,10 +84,10 @@ class RunTask:
 
     Every semantics-affecting knob of :func:`execute_task` lives here;
     anything that can change a run's outcome must be a field so that
-    :meth:`to_dict` (journal fingerprints) and :meth:`ResultCache.key`
+    :meth:`to_dict` (store fingerprints) and :meth:`ResultCache.key`
     (cache identity) see it. ``monitor``, ``chaos`` and ``model``
     serialise only when non-default, so grids that never touch them keep
-    their journal fingerprints from earlier releases.
+    their store fingerprints from earlier releases.
     """
 
     algorithm: str
@@ -104,7 +104,7 @@ class RunTask:
     model: Optional[SystemModel] = None
 
     def to_dict(self) -> dict:
-        """JSON-ready cell description (journal headers, fingerprints)."""
+        """JSON-ready cell description (store task lists, fingerprints)."""
         payload = {
             "algorithm": self.algorithm,
             "n": self.n,
@@ -196,8 +196,8 @@ class ExperimentSummary:
 
         ``error`` is the exception itself, or the already-formatted
         ``"ExceptionType: message"`` string when the failure crossed a
-        process boundary (supervised workers report strings — the exception
-        object died with the worker).
+        process boundary (budgeted workers report strings — the exception
+        object died with the child process).
         """
         if isinstance(error, str):
             message = error
@@ -365,12 +365,6 @@ def execute_task(task: RunTask) -> ExperimentSummary:
     )
 
 
-def _summary_checksum(body: dict) -> str:
-    """Content checksum of a summary payload (canonical JSON, SHA-256)."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 class ResultCache:
     """On-disk memo of finished sweep cells, one JSON file per configuration.
 
@@ -471,9 +465,9 @@ class SweepStats:
     #: Configurations that failed even after the retry (their rows carry
     #: ``failed=True`` — they are reported, not dropped).
     failed: int = 0
-    #: Cells restored from a run journal instead of executed (resume).
+    #: Cells restored from a result store instead of executed (resume).
     restored: int = 0
-    #: Supervised cells killed for exceeding a wall/RSS budget.
+    #: Budgeted cells killed for exceeding a wall/RSS budget.
     budget_kills: int = 0
 
 
@@ -504,7 +498,6 @@ class SweepExecutor:
         self,
         config,
         *,
-        journal: Optional[RunJournal] = None,
         budget=None,
         store=None,
         coordinator_only: bool = False,
@@ -516,38 +509,25 @@ class SweepExecutor:
         ``SweepConfig.configurations()`` yields, regardless of worker
         scheduling.
 
-        ``journal`` makes the sweep durable: every cell writes
-        ``started``/``finished``/``failed`` records through the
-        write-ahead journal, cells the journal already records as terminal
-        are restored instead of executed (resume), and execution runs
-        under the :class:`~repro.analysis.supervisor.WorkerSupervisor`
-        (optionally with a per-cell ``budget``), so SIGINT/SIGTERM drains
-        and raises :class:`~repro.sim.errors.RunInterrupted` instead of
-        discarding in-flight work.
-
-        ``store`` (a store URL or
-        :class:`~repro.analysis.store.ResultStore`) runs the grid on the
-        coordinator/worker fabric instead: cells are seeded into the store
-        and executed by lease-claiming workers (in-process for
-        ``workers=1``, spawned subprocesses otherwise, or externally
-        started ones with ``coordinator_only=True``). The store carries
-        the run's durability, so ``journal`` and ``store`` are mutually
-        exclusive.
+        Without ``store`` the grid runs on the process pool (in-process
+        for ``workers=1``) and nothing outlives the call. ``store`` (a
+        store URL or :class:`~repro.analysis.store.ResultStore`) makes the
+        sweep durable by running it on the coordinator/worker fabric:
+        cells are seeded into the store and executed by lease-claiming
+        workers (in-process for ``workers=1``, spawned subprocesses
+        otherwise, or externally started ones with
+        ``coordinator_only=True``), optionally under a per-cell
+        ``budget``. Cells the store already holds as terminal are restored
+        instead of executed (resume), and SIGINT/SIGTERM drains the
+        workers and raises :class:`~repro.sim.errors.RunInterrupted`.
         """
-        if journal is not None and store is not None:
-            raise ValueError(
-                "journal= and store= are mutually exclusive: the store "
-                "fabric carries its own durability"
-            )
         start = time.perf_counter()
         tasks = self.tasks_for(config)
         if store is not None:
             return self._run_fabric(
-                tasks, store, budget, start,
+                config, tasks, store, budget, start,
                 coordinator_only=coordinator_only, run_id=run_id,
             )
-        if journal is not None:
-            return self._run_journaled(tasks, journal, budget, start)
         results: List[Optional[ExperimentSummary]] = [None] * len(tasks)
 
         misses: List[Tuple[int, RunTask]] = []
@@ -605,6 +585,7 @@ class SweepExecutor:
 
     def _run_fabric(
         self,
+        config,
         tasks: List[RunTask],
         store,
         budget,
@@ -616,7 +597,9 @@ class SweepExecutor:
         """The fabric path: seed a store, let lease-claiming workers drain
         it, stream the rows back. Ordering, caching, retry-once semantics
         and failure rows all match the in-process paths, so the resulting
-        report is canonically identical."""
+        report is canonically identical. The store header records the
+        grid, cache and budget so ``runs resume --store`` can rebuild the
+        run from the store alone."""
         from .coordinator import Coordinator  # local: avoids the cycle
 
         coordinator = Coordinator(
@@ -632,6 +615,11 @@ class SweepExecutor:
             [task.to_dict() for task in tasks],
             fingerprint=self.fingerprint(tasks),
             run_id=run_id,
+            config={
+                "sweep": config.to_dict(),
+                "cache": str(self.cache.root) if self.cache else None,
+                "budget": asdict(budget) if budget is not None else None,
+            },
         )
         cstats = coordinator.stats
         self.stats = SweepStats(
@@ -644,111 +632,6 @@ class SweepExecutor:
             budget_kills=cstats.budget_kills,
         )
         return results
-
-    def _run_journaled(
-        self,
-        tasks: List[RunTask],
-        journal: RunJournal,
-        budget,
-        start: float,
-    ) -> List[ExperimentSummary]:
-        """The durable path: restore terminal cells, supervise the rest.
-
-        Journal discipline per cell: ``started`` is appended when the cell
-        is handed to a worker, a terminal record (``finished`` with the
-        summary, ``failed`` for a deterministic failure row,
-        ``quarantined`` for a budget kill) when its fate is known. Cache
-        hits journal ``finished`` immediately — resume must not depend on
-        the cache still being there.
-        """
-        from .supervisor import WorkerSupervisor  # local: avoids the cycle
-
-        journal.verify_fingerprint(self.fingerprint(tasks))
-        state = journal.state
-        results: List[Optional[ExperimentSummary]] = [None] * len(tasks)
-        restored = 0
-        open_cells: List[Tuple[int, RunTask]] = []
-        for index, task in enumerate(tasks):
-            terminal = state.terminal(index)
-            if terminal is not None:
-                results[index] = ExperimentSummary.from_dict(
-                    terminal["summary"]
-                )
-                restored += 1
-            else:
-                open_cells.append((index, task))
-
-        misses: List[Tuple[int, RunTask]] = []
-        from_cache = 0
-        for index, task in open_cells:
-            summary = self.cache.load(task) if self.cache is not None else None
-            if summary is not None:
-                results[index] = summary
-                journal.append(
-                    "finished", cell=index, summary=summary.to_dict()
-                )
-                from_cache += 1
-            else:
-                misses.append((index, task))
-
-        def on_start(index: int, task: RunTask) -> None:
-            journal.append("started", cell=index)
-            if self.run_hook is not None:
-                self.run_hook(task)
-
-        def on_result(index: int, task: RunTask, summary) -> None:
-            results[index] = summary
-            journal.append("finished", cell=index, summary=summary.to_dict())
-            if self.cache is not None:
-                self.cache.store(task, summary)
-
-        def on_failure(failure) -> None:
-            summary = ExperimentSummary.for_failure(
-                failure.task, failure.detail
-            )
-            results[failure.index] = summary
-            record = "failed" if failure.kind == "crashed" else "quarantined"
-            journal.append(
-                record,
-                cell=failure.index,
-                reason=failure.kind,
-                summary=summary.to_dict(),
-            )
-
-        supervisor = WorkerSupervisor(
-            execute_task,
-            workers=self.workers,
-            budget=budget,
-            retries=1,
-        )
-        try:
-            sup_stats = supervisor.run(
-                misses,
-                on_start=on_start,
-                on_result=on_result,
-                on_failure=on_failure,
-            )
-        except BaseException:
-            # Preemption (RunInterrupted) or a hard error: make everything
-            # recorded so far durable before unwinding. The interrupted
-            # marker is informational — the crash set already says what
-            # was in flight.
-            try:
-                journal.append("interrupted")
-                journal.flush()
-            except Exception:  # noqa: BLE001 — best-effort on teardown
-                pass
-            raise
-        self.stats = SweepStats(
-            executed=sup_stats.completed + sup_stats.failed,
-            from_cache=from_cache,
-            elapsed_s=time.perf_counter() - start,
-            retried=sup_stats.retried,
-            failed=sup_stats.failed,
-            restored=restored,
-            budget_kills=sup_stats.budget_kills,
-        )
-        return results  # type: ignore[return-value]
 
     def _run_misses(
         self,

@@ -1,53 +1,24 @@
-"""Write-ahead run journal: durable, resumable sweeps and campaigns.
+"""Durability primitives shared by every ledger in the harness.
 
-A long grid (10k sweep cells, a nightly chaos campaign) must survive the
-orchestrator being SIGKILLed, OOM-killed or Ctrl-C'd — the same way the
-crash-fault protocols in the paper's lineage survive process crashes: by
-making progress durable *before* acting on it and making recovery a pure
-replay. This module owns that discipline:
+The result store (:mod:`repro.analysis.store`), the result cache and the
+daemon's session journal (:mod:`repro.service.journal`) all write the same
+kind of record: canonical JSON sealed with a SHA-256 checksum, made durable
+before anyone acts on it. This module is the one home for those pieces:
 
-* :class:`RunJournal` — an append-only JSONL file, one checksummed record
-  per line, fsync'd before the caller proceeds. Record types:
-
-  - ``header`` — written once at creation: the run kind (``sweep`` /
-    ``chaos``), the full config payload, the cell count, and the config
-    **fingerprint** (SHA-256 over the expanded task list) that resume
-    verifies before trusting a journal.
-  - ``started`` — cell ``i`` was dispatched to a worker. A ``started``
-    without a matching terminal record is the *crash set*: cells that were
-    in flight when the orchestrator died, re-queued verbatim on resume.
-  - ``finished`` — cell ``i`` completed with its result payload (an
-    :class:`~repro.analysis.executor.ExperimentSummary` or
-    :class:`~repro.analysis.campaign.ChaosOutcome` dict). Terminal.
-  - ``failed`` — cell ``i`` ran and failed deterministically (retry
-    exhausted); carries the failure row. Terminal: resume restores the row
-    instead of re-running (the control run would fail identically).
-  - ``quarantined`` — the supervisor killed cell ``i``'s worker (wall/RSS
-    budget, worker death); carries the reason and the quarantine row.
-    Terminal, and what ``runs doctor`` triages first.
-  - ``interrupted`` — a graceful SIGINT/SIGTERM drain completed; purely a
-    marker for ``runs list``/``doctor`` (the crash set already encodes
-    what was in flight).
-
-* :func:`scan_journal` — replay a journal into a :class:`JournalState`. A
-  **torn tail** (the final line cut mid-append by a crash) is dropped
-  silently — fsync ordering guarantees it was never acted on. Corruption
-  anywhere *before* the tail raises
-  :class:`~repro.sim.errors.JournalError`: that journal cannot be trusted.
-
-* :func:`config_fingerprint` / :func:`canonical_json` — stable hashing and
-  the wall-clock-scrubbed report form used to assert that a resumed run is
-  byte-identical to an uninterrupted control run.
-
+* :func:`canonical_dumps` / :func:`checksum` — key-sorted, separator-free
+  JSON and the SHA-256 over it (the envelope checksum of store terminals,
+  cache entries and session-journal records);
+* :func:`config_fingerprint` — the SHA-256 over a run's *expanded* cell
+  list that a store header pins, so a resumed run can never splice two
+  different grids together;
+* :func:`scrub_volatile` / :func:`canonical_json` — the wall-clock-scrubbed
+  report form in which a resumed run must be byte-identical to an
+  uninterrupted control run;
 * :func:`atomic_write_text` — the write-temp-then-``os.replace`` (with
-  fsync) discipline shared by the journal's siblings (CSV/JSON exports,
-  the result cache), so a kill mid-write never leaves a torn artifact at
-  the target path.
-
-Test hook: ``REPRO_JOURNAL_CRASH_AFTER=<type>:<count>`` SIGKILLs the
-process immediately after the ``count``-th record of ``type`` appended *by
-this process* becomes durable — the deterministic way the kill/resume suite
-and ``make resume-smoke`` generate mid-flight crashes.
+  fsync) discipline for exports, cache entries and dir-store files, so a
+  kill mid-write never leaves a torn artifact at the target path;
+* :class:`CrashHook` — the deterministic SIGKILL test hook behind
+  ``REPRO_STORE_CRASH_AFTER`` and ``REPRO_SERVICE_CRASH_AFTER``.
 """
 
 from __future__ import annotations
@@ -56,51 +27,29 @@ import hashlib
 import json
 import os
 import signal
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-from ..sim.errors import JournalError
+from typing import List, Optional, Tuple, Type, Union
 
 __all__ = [
-    "CRASH_HOOK_ENV",
-    "JournalState",
-    "RunJournal",
+    "CrashHook",
     "atomic_write_text",
+    "canonical_dumps",
     "canonical_json",
+    "checksum",
     "config_fingerprint",
-    "list_runs",
-    "scan_journal",
     "scrub_volatile",
 ]
 
-#: Journal format version; bumping it invalidates resume across versions.
-JOURNAL_VERSION = 1
 
-#: Record types a journal may contain (stable set; scan rejects others).
-#: ``leased``/``reclaimed`` mirror the fabric's lease lifecycle (a worker
-#: claimed cell ``i`` / an expired lease on cell ``i`` was taken back) when
-#: a coordinator journals a distributed run — informational cell events,
-#: neither ``started`` nor terminal.
-RECORD_TYPES = (
-    "header", "started", "finished", "failed", "quarantined", "interrupted",
-    "leased", "reclaimed",
-)
-
-#: Terminal per-cell record types: the cell needs no further execution.
-TERMINAL_TYPES = ("finished", "failed", "quarantined")
-
-#: Environment variable for the deterministic crash hook (tests/CI only).
-CRASH_HOOK_ENV = "REPRO_JOURNAL_CRASH_AFTER"
-
-
-def _canonical(payload: object) -> str:
+def canonical_dumps(payload: object) -> str:
+    """Key-sorted JSON without whitespace: the byte form every checksum
+    and fingerprint in the harness is computed over."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _record_checksum(version: int, seq: int, type_: str, data: dict) -> str:
-    body = _canonical({"v": version, "seq": seq, "type": type_, "data": data})
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def checksum(payload: object) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON."""
+    return hashlib.sha256(canonical_dumps(payload).encode("utf-8")).hexdigest()
 
 
 def config_fingerprint(kind: str, cells: List[dict]) -> str:
@@ -110,12 +59,10 @@ def config_fingerprint(kind: str, cells: List[dict]) -> str:
     means any change that alters what would actually execute — a new
     algorithm registered mid-grid, a regime filter change, reordered seeds —
     fails the resume-time fingerprint check instead of silently splicing two
-    different runs together.
+    different runs together. The ``"journal": 1`` field is part of the
+    payload so fingerprints of existing stores keep matching.
     """
-    payload = _canonical(
-        {"journal": JOURNAL_VERSION, "kind": kind, "cells": cells}
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return checksum({"journal": 1, "kind": kind, "cells": cells})
 
 
 def scrub_volatile(payload):
@@ -140,7 +87,7 @@ def scrub_volatile(payload):
 
 def canonical_json(payload: dict) -> str:
     """The canonical (volatile-scrubbed, key-sorted) JSON of a report."""
-    return _canonical(scrub_volatile(payload))
+    return canonical_dumps(scrub_volatile(payload))
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> Path:
@@ -162,379 +109,33 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     return path
 
 
-@dataclass
-class JournalState:
-    """The replayed content of one journal.
+class CrashHook:
+    """The deterministic mid-flight-death hook for crash tests and CI.
 
-    ``events`` keeps the per-cell record sequence (type, seq) in journal
-    order — ``runs doctor`` uses it to detect re-executed finished cells
-    (a ``started`` *after* a terminal record, which a correct resume never
-    produces).
+    With ``<env>=<event>:<count>`` set, calling the hook with ``event``
+    SIGKILLs this process on the ``count``-th call — callers invoke it right
+    after the matching operation became durable, so a kill lands at an exact
+    ledger position. Unset, the hook is a no-op. A malformed spec raises
+    ``error`` (the owning ledger's typed error).
     """
 
-    path: Path
-    header: Optional[dict] = None
-    #: cell index -> number of ``started`` records.
-    started: Dict[int, int] = field(default_factory=dict)
-    #: cell index -> payload of its terminal record (first one wins).
-    finished: Dict[int, dict] = field(default_factory=dict)
-    failed: Dict[int, dict] = field(default_factory=dict)
-    quarantined: Dict[int, dict] = field(default_factory=dict)
-    #: cell index -> [(record type, seq), ...] in journal order.
-    events: Dict[int, List[Tuple[str, int]]] = field(default_factory=dict)
-    interrupted: bool = False
-    records: int = 0
-    #: Byte offset of the end of the last *good* record (torn-tail repair
-    #: truncates the file to this length).
-    good_bytes: int = 0
-    #: True when the final line was torn (dropped, not an error).
-    torn: bool = False
-
-    @property
-    def run_id(self) -> Optional[str]:
-        return self.header.get("run_id") if self.header else None
-
-    @property
-    def kind(self) -> Optional[str]:
-        return self.header.get("kind") if self.header else None
-
-    @property
-    def cells(self) -> int:
-        return int(self.header.get("cells", 0)) if self.header else 0
-
-    def terminal(self, cell: int) -> Optional[dict]:
-        """The terminal payload for ``cell``, or ``None`` if still open."""
-        for table in (self.finished, self.failed, self.quarantined):
-            if cell in table:
-                return table[cell]
-        return None
-
-    def crash_set(self) -> List[int]:
-        """Cells that were in flight when the orchestrator died: a
-        ``started`` record with no terminal record. Re-queued on resume."""
-        return sorted(
-            cell for cell in self.started if self.terminal(cell) is None
-        )
-
-    def unstarted(self) -> List[int]:
-        """Cells never dispatched (also re-queued on resume)."""
-        return sorted(
-            cell for cell in range(self.cells)
-            if cell not in self.started and self.terminal(cell) is None
-        )
-
-    def remaining(self) -> List[int]:
-        """Every cell resume must still execute, in grid order."""
-        return sorted(set(self.crash_set()) | set(self.unstarted()))
-
-    @property
-    def complete(self) -> bool:
-        return (
-            self.header is not None
-            and all(self.terminal(cell) is not None
-                    for cell in range(self.cells))
-        )
-
-    def reexecuted_finished(self) -> List[int]:
-        """Cells with a ``started`` record *after* a terminal record.
-
-        A correct resume skips every terminal cell, so this list must be
-        empty; a non-empty answer means the journal discipline was violated
-        (work re-done, wall-clock wasted, and — for non-deterministic
-        runners — potentially divergent results).
-        """
-        out = []
-        for cell, seq in self.events.items():
-            terminal_at = None
-            for type_, position in seq:
-                if type_ in TERMINAL_TYPES and terminal_at is None:
-                    terminal_at = position
-                elif type_ == "started" and terminal_at is not None:
-                    out.append(cell)
-                    break
-        return sorted(out)
-
-
-def _parse_record(line: bytes, lineno: int, path: Path) -> dict:
-    try:
-        record = json.loads(line)
-    except ValueError as exc:
-        raise JournalError(
-            f"{path.name}:{lineno}: unparseable record ({exc})"
-        ) from None
-    if not isinstance(record, dict):
-        raise JournalError(f"{path.name}:{lineno}: record is not an object")
-    for key in ("v", "seq", "type", "data", "crc"):
-        if key not in record:
-            raise JournalError(f"{path.name}:{lineno}: missing field {key!r}")
-    if record["type"] not in RECORD_TYPES:
-        raise JournalError(
-            f"{path.name}:{lineno}: unknown record type {record['type']!r}"
-        )
-    expected = _record_checksum(
-        record["v"], record["seq"], record["type"], record["data"]
-    )
-    if record["crc"] != expected:
-        raise JournalError(f"{path.name}:{lineno}: checksum mismatch")
-    return record
-
-
-def scan_journal(path: Union[str, Path]) -> JournalState:
-    """Replay ``path`` into a :class:`JournalState`.
-
-    The final line is allowed to be torn (crash mid-append): it is dropped
-    and ``state.torn`` is set — by fsync ordering nothing ever acted on it.
-    A bad record *before* the last line, a sequence gap, a wrong version or
-    a missing header raise :class:`~repro.sim.errors.JournalError`.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from None
-    state = JournalState(path=path)
-    lines = raw.split(b"\n")
-    # A well-formed journal ends with a newline, so the final split element
-    # is empty; anything else is a record cut short mid-append.
-    trailing = lines.pop() if lines else b""
-    offset = 0
-    for lineno, line in enumerate(lines, start=1):
-        is_last = lineno == len(lines) and not trailing
+    def __init__(self, env: str, error: Type[Exception]) -> None:
+        self._spec: Optional[Tuple[str, int]] = None
+        self._count = 0
+        text = os.environ.get(env)
+        if not text:
+            return
         try:
-            record = _parse_record(line, lineno, path)
-        except JournalError:
-            if is_last:
-                state.torn = True
-                return state
-            raise
-        if record["v"] != JOURNAL_VERSION:
-            raise JournalError(
-                f"{path.name}:{lineno}: journal version {record['v']} "
-                f"(this build reads {JOURNAL_VERSION})"
-            )
-        if record["seq"] != state.records:
-            raise JournalError(
-                f"{path.name}:{lineno}: sequence gap (expected "
-                f"{state.records}, found {record['seq']})"
-            )
-        _apply(state, record, lineno)
-        state.records += 1
-        offset += len(line) + 1
-        state.good_bytes = offset
-    if trailing:
-        state.torn = True
-    return state
+            event, count = text.split(":")
+            self._spec = (event, int(count))
+        except ValueError:
+            raise error(
+                f"bad {env}={text!r} (expected '<event>:<count>')"
+            ) from None
 
-
-def _apply(state: JournalState, record: dict, lineno: int) -> None:
-    type_, data = record["type"], record["data"]
-    if type_ == "header":
-        if state.header is not None:
-            raise JournalError(f"{state.path.name}:{lineno}: duplicate header")
-        state.header = data
-        return
-    if state.header is None:
-        raise JournalError(
-            f"{state.path.name}:{lineno}: {type_!r} record before header"
-        )
-    if type_ == "interrupted":
-        state.interrupted = True
-        return
-    cell = data["cell"]
-    state.events.setdefault(cell, []).append((type_, record["seq"]))
-    if type_ == "started":
-        state.started[cell] = state.started.get(cell, 0) + 1
-    elif type_ == "finished":
-        state.finished.setdefault(cell, data)
-    elif type_ == "failed":
-        state.failed.setdefault(cell, data)
-    elif type_ == "quarantined":
-        state.quarantined.setdefault(cell, data)
-
-
-def _parse_crash_hook() -> Optional[Tuple[str, int]]:
-    spec = os.environ.get(CRASH_HOOK_ENV)
-    if not spec:
-        return None
-    try:
-        type_, count = spec.split(":")
-        return type_, int(count)
-    except ValueError:
-        raise JournalError(
-            f"bad {CRASH_HOOK_ENV}={spec!r} (expected '<type>:<count>')"
-        ) from None
-
-
-class RunJournal:
-    """One run's append-only, fsync'd, checksummed event log.
-
-    Create with :meth:`create` (writes the header durably before returning)
-    or :meth:`open` (replays an existing journal for resume). Every
-    :meth:`append` is durable — flushed and fsync'd — before it returns, so
-    the write-ahead contract holds: a record the orchestrator acted on can
-    never be lost, and a record lost to a crash (the torn tail) was never
-    acted on.
-    """
-
-    def __init__(self, path: Path, state: JournalState, handle) -> None:
-        self.path = path
-        self.state = state
-        self._handle = handle
-        self._seq = state.records
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
-
-    # ------------------------------------------------------------ lifecycle
-
-    @classmethod
-    def create(
-        cls,
-        path: Union[str, Path],
-        *,
-        kind: str,
-        run_id: str,
-        config: dict,
-        fingerprint: str,
-        cells: int,
-    ) -> "RunJournal":
-        """Start a fresh journal; refuses to clobber an existing one."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            raise JournalError(
-                f"journal {path} already exists — resume it with "
-                f"'runs resume {run_id}' instead of starting over"
-            )
-        handle = open(path, "ab")
-        journal = cls(path, JournalState(path=path), handle)
-        journal.append(
-            "header",
-            kind=kind,
-            run_id=run_id,
-            config=config,
-            fingerprint=fingerprint,
-            cells=cells,
-        )
-        journal.state.header = {
-            "kind": kind, "run_id": run_id, "config": config,
-            "fingerprint": fingerprint, "cells": cells,
-        }
-        return journal
-
-    @classmethod
-    def open(cls, path: Union[str, Path]) -> "RunJournal":
-        """Replay an existing journal and position for appending.
-
-        A torn tail is sliced off in memory (appends go after the last good
-        record — the torn bytes are overwritten) and reported via
-        ``state.torn``.
-        """
-        path = Path(path)
-        state = scan_journal(path)
-        if state.header is None:
-            raise JournalError(f"journal {path} has no header record")
-        handle = open(path, "ab")
-        if state.torn:
-            handle.truncate(state.good_bytes)
-        return cls(path, state, handle)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -------------------------------------------------------------- writing
-
-    def append(self, type_: str, **data) -> None:
-        """Durably append one record (write + flush + fsync)."""
-        if type_ not in RECORD_TYPES:
-            raise JournalError(f"unknown record type {type_!r}")
-        record = {
-            "v": JOURNAL_VERSION,
-            "seq": self._seq,
-            "type": type_,
-            "data": data,
-            "crc": _record_checksum(JOURNAL_VERSION, self._seq, type_, data),
-        }
-        line = (_canonical(record) + "\n").encode("utf-8")
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._seq += 1
-        self._mirror(type_, data)
-        self._maybe_crash(type_)
-
-    def _mirror(self, type_: str, data: dict) -> None:
-        """Keep the in-memory state consistent with what was just written."""
-        state = self.state
-        state.records = self._seq
-        if type_ == "header" or state.header is None:
+    def __call__(self, event: str) -> None:
+        if self._spec is None or event != self._spec[0]:
             return
-        if type_ == "interrupted":
-            state.interrupted = True
-            return
-        cell = data["cell"]
-        state.events.setdefault(cell, []).append((type_, self._seq - 1))
-        if type_ == "started":
-            state.started[cell] = state.started.get(cell, 0) + 1
-        elif type_ == "finished":
-            state.finished.setdefault(cell, data)
-        elif type_ == "failed":
-            state.failed.setdefault(cell, data)
-        elif type_ == "quarantined":
-            state.quarantined.setdefault(cell, data)
-
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def _maybe_crash(self, type_: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_type, hook_count = self._crash_hook
-        if type_ != hook_type:
-            return
-        count = self._crash_counts.get(type_, 0) + 1
-        self._crash_counts[type_] = count
-        if count >= hook_count:
+        self._count += 1
+        if self._count >= self._spec[1]:
             os.kill(os.getpid(), signal.SIGKILL)
-
-    # ------------------------------------------------------------- identity
-
-    def verify_fingerprint(self, fingerprint: str) -> None:
-        """Refuse to resume a journal whose recorded fingerprint differs
-        from the one recomputed from the (regenerated) task grid."""
-        recorded = (self.state.header or {}).get("fingerprint")
-        if recorded != fingerprint:
-            raise JournalError(
-                f"config fingerprint mismatch for run "
-                f"{self.state.run_id!r}: journal has {recorded!r:.20}…, "
-                f"regenerated grid gives {fingerprint!r:.20}… — the code or "
-                f"configuration changed since this journal was written; "
-                f"start a fresh run instead of resuming"
-            )
-
-
-def list_runs(runs_dir: Union[str, Path]) -> List[JournalState]:
-    """Scan ``runs_dir`` for journals, newest-named last; unreadable or
-    corrupt journals are returned as header-less states (so ``runs list``
-    can show them as damaged instead of hiding them)."""
-    runs_dir = Path(runs_dir)
-    states: List[JournalState] = []
-    if not runs_dir.is_dir():
-        return states
-    for path in sorted(runs_dir.glob("*.jsonl")):
-        try:
-            states.append(scan_journal(path))
-        except JournalError:
-            states.append(JournalState(path=path, header=None))
-    return states

@@ -1,19 +1,21 @@
 """Pluggable result stores: the shared substrate of the sweep fabric.
 
-The executor, journal and supervisor all assume one host and one process
-tree. A :class:`ResultStore` removes that assumption: it is the *only*
-thing a coordinator and its workers share. The coordinator seeds the store
+A :class:`ResultStore` is the ledger of every durable sweep or chaos run
+and the *only* thing a coordinator and its workers share — nothing assumes
+one host or one process tree. The coordinator seeds the store
 with the fingerprinted cell list; any number of workers — in-process
 threads of the coordinator, subprocesses on the same box, or processes on
 another machine with the store on shared storage — pull cells through
 **leases** and push back checksummed terminal records. The store owns:
 
 * **The header** — run kind (``sweep``/``chaos``), run id, the config
-  fingerprint (SHA-256 over the expanded cell list, the same function the
-  journal uses) and the full task list. :meth:`ResultStore.seed` is
-  idempotent: re-seeding an existing store verifies the fingerprint and
-  becomes a resume; a mismatch raises
-  :class:`~repro.sim.errors.StoreError` instead of splicing two runs.
+  fingerprint (SHA-256 over the expanded cell list, see
+  :func:`~repro.analysis.journal.config_fingerprint`), the run's
+  ``config`` (what ``runs resume --store`` rebuilds the grid from) and the
+  full task list. :meth:`ResultStore.seed` is idempotent: re-seeding an
+  existing store verifies the fingerprint and becomes a resume; a mismatch
+  raises :class:`~repro.sim.errors.StoreError` instead of splicing two
+  runs.
 * **Leases with heartbeat expiry.** :meth:`ResultStore.claim` hands out
   the lowest-indexed open cell together with a fresh random token and an
   expiry timestamp; :meth:`ResultStore.renew` pushes the expiry forward
@@ -26,8 +28,8 @@ another machine with the store on shared storage — pull cells through
   :class:`~repro.sim.errors.LeaseLost`.
 * **Terminal records** — ``finished`` / ``failed`` / ``quarantined``
   payloads in checksummed envelopes (``{"schema", "checksum", "body"}``,
-  SHA-256 over canonical JSON), written with the journal's
-  fsync-before-act discipline. The first durable terminal record for a
+  SHA-256 over canonical JSON), made durable (fsync or a ``synchronous=FULL``
+  commit) before anyone acts on them. The first durable terminal record for a
   cell wins; a late result from a taken-over worker is refused and logged
   as a ``double-execution`` event, never silently merged.
 * **Memo entries** — the content-addressed summary cache.
@@ -48,18 +50,16 @@ filesystem with real locking). :func:`open_store` maps store URLs
 
 Test hook: ``REPRO_STORE_CRASH_AFTER=<op>:<count>`` SIGKILLs the process
 immediately after the ``count``-th *durable* store operation of kind
-``op`` (``claim`` or ``finish``) performed by this process — the same
-deterministic mid-flight-death pattern as the journal's
-``REPRO_JOURNAL_CRASH_AFTER``, used by the lease-reclaim suite to kill a
-worker while it holds a cell.
+``op`` (``claim`` or ``finish``) performed by this process
+(:class:`~repro.analysis.journal.CrashHook`) — how the lease-reclaim suite
+kills a worker while it holds a cell, and how the kill/resume suite and
+``make resume-smoke`` kill a whole durable run at an exact cell count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import signal
 import sqlite3
 import threading
 import time
@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..sim.errors import LeaseLost, StoreError
-from .journal import atomic_write_text
+from .journal import CrashHook, atomic_write_text, canonical_dumps, checksum
 
 __all__ = [
     "Claim",
@@ -99,21 +99,13 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: Environment variable for the deterministic crash hook (tests/CI only).
 STORE_CRASH_HOOK_ENV = "REPRO_STORE_CRASH_AFTER"
 
-#: Terminal cell states (mirrors the journal's terminal record types).
+#: Terminal cell states.
 TERMINAL_STATES = ("finished", "failed", "quarantined")
-
-
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(body: object) -> str:
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
 
 
 def seal(body: dict, *, schema: int, body_key: str = "body") -> dict:
     """Wrap ``body`` in a checksummed envelope (the cache/terminal format)."""
-    return {"schema": schema, "checksum": _checksum(body), body_key: body}
+    return {"schema": schema, "checksum": checksum(body), body_key: body}
 
 
 def unseal(payload: object, *, schema: int, body_key: str = "body") -> dict:
@@ -131,7 +123,7 @@ def unseal(payload: object, *, schema: int, body_key: str = "body") -> dict:
     if found != schema:
         raise ValueError(f"stale schema {found!r} (current {schema})")
     body = payload[body_key]
-    if payload.get("checksum") != _checksum(body):
+    if payload.get("checksum") != checksum(body):
         raise ValueError("checksum mismatch (corrupt or tampered entry)")
     return body
 
@@ -146,19 +138,6 @@ class Claim:
     worker: str
     token: str
     expires_at: float
-
-
-def _parse_crash_hook() -> Optional[Tuple[str, int]]:
-    spec = os.environ.get(STORE_CRASH_HOOK_ENV)
-    if not spec:
-        return None
-    try:
-        op, count = spec.split(":")
-        return op, int(count)
-    except ValueError:
-        raise StoreError(
-            f"bad {STORE_CRASH_HOOK_ENV}={spec!r} (expected '<op>:<count>')"
-        ) from None
 
 
 class ResultStore:
@@ -177,8 +156,8 @@ class ResultStore:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __init__(self) -> None:
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
+        #: The deterministic SIGKILL test hook (see module docstring).
+        self._hook = CrashHook(STORE_CRASH_HOOK_ENV, StoreError)
 
     # ----------------------------------------------------------- lifecycle
 
@@ -345,18 +324,6 @@ class ResultStore:
 
     def _new_token(self) -> str:
         return uuid.uuid4().hex
-
-    def _hook(self, op: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_op, hook_count = self._crash_hook
-        if op != hook_op:
-            return
-        count = self._crash_counts.get(op, 0) + 1
-        self._crash_counts[op] = count
-        if count >= hook_count:
-            os.kill(os.getpid(), signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------
@@ -739,14 +706,14 @@ class LocalDirStore(ResultStore):
         self._memo_root.mkdir(parents=True, exist_ok=True)
         # Field order matches the pre-fabric ResultCache files exactly, so
         # existing caches stay byte-identical and readable both ways.
-        payload = {"schema": schema, "checksum": _checksum(body),
+        payload = {"schema": schema, "checksum": checksum(body),
                    body_key: body}
         atomic_write_text(self._memo_path(key), json.dumps(payload))
 
     # -------------------------------------------------------------- events
 
     def record_event(self, event, **data):
-        line = _canonical({"event": event, "at": time.time(), **data})
+        line = canonical_dumps({"event": event, "at": time.time(), **data})
         with open(self._events_path, "a") as handle:
             handle.write(line + "\n")
             handle.flush()
@@ -796,7 +763,7 @@ class SqliteStore(ResultStore):
     ``O_CREAT|O_EXCL`` comes for free from the write lock.
 
     WAL mode keeps readers (the coordinator streaming results) off the
-    writers' lock; ``synchronous=FULL`` keeps the journal's
+    writers' lock; ``synchronous=FULL`` keeps the store's
     durable-before-act discipline. Connections are per-thread *and*
     per-process (a worker's lease-renewal thread gets its own, and a
     connection never crosses a fork boundary); workers in other processes
@@ -880,11 +847,11 @@ class SqliteStore(ResultStore):
             }
             conn.executemany(
                 "INSERT INTO cells (idx, task) VALUES (?, ?)",
-                [(i, _canonical(task)) for i, task in enumerate(cells)],
+                [(i, canonical_dumps(task)) for i, task in enumerate(cells)],
             )
             conn.execute(
                 "INSERT INTO meta (key, value) VALUES ('header', ?)",
-                (_canonical(header),),
+                (canonical_dumps(header),),
             )
             conn.execute("COMMIT")
         except BaseException:
@@ -1067,7 +1034,7 @@ class SqliteStore(ResultStore):
         self, conn, cell, state, payload, reason, attempt, worker
     ) -> None:
         sealed = (
-            _canonical(seal(payload, schema=STORE_SCHEMA))
+            canonical_dumps(seal(payload, schema=STORE_SCHEMA))
             if payload is not None else None
         )
         conn.execute(
@@ -1180,7 +1147,7 @@ class SqliteStore(ResultStore):
         return unseal(payload, schema=schema, body_key=body_key)
 
     def store_memo(self, key, body, *, schema, body_key="summary"):
-        payload = {"schema": schema, "checksum": _checksum(body),
+        payload = {"schema": schema, "checksum": checksum(body),
                    body_key: body}
         self._connection().execute(
             "INSERT OR REPLACE INTO memo (key, payload) VALUES (?, ?)",
@@ -1192,7 +1159,7 @@ class SqliteStore(ResultStore):
     def _event(self, conn, event: str, **data) -> None:
         conn.execute(
             "INSERT INTO events (body) VALUES (?)",
-            (_canonical({"event": event, "at": time.time(), **data}),),
+            (canonical_dumps({"event": event, "at": time.time(), **data}),),
         )
 
     def record_event(self, event, **data):

@@ -1,63 +1,41 @@
-"""Worker supervision: heartbeats, budgets, backoff restarts, preemption.
+"""Budget policing for work that runs in a disposable child process.
 
-:class:`~concurrent.futures.ProcessPoolExecutor` gives fan-out but no
-*supervision*: a worker that leaks memory until the OOM killer arrives, or
-wedges inside a C extension, takes its pool down with no per-cell
-accounting, and Ctrl-C tears through in-flight work. Durable runs (see
-:mod:`repro.analysis.journal`) need the opposite: every cell's fate must be
-known and recorded. :class:`WorkerSupervisor` owns that:
+A fabric worker executing a sweep or chaos cell under ``--cell-wall`` /
+``--cell-rss`` and the renaming daemon executing a session under
+``--session-wall`` / ``--session-rss`` need the same thing: run one call in
+a child process, watch its wall clock and resident memory, SIGKILL it on a
+breach, and report what happened as a typed verdict instead of hanging or
+taking the caller down. This module is that one mechanism:
 
-* **Per-slot workers.** ``workers`` long-lived subprocesses, each with its
-  own depth-1 task queue, so the supervisor always knows which worker holds
-  which cell (no work-stealing limbo to reconstruct after a crash).
-* **Heartbeats.** Each worker runs a daemon thread stamping a shared
-  monotonic timestamp every ``heartbeat_s`` and exits on its own when the
-  parent disappears (``getppid`` change) — a SIGKILLed orchestrator never
-  leaves orphan workers grinding on.
-* **Budgets.** A cell may carry a wall-clock budget and an RSS budget
-  (:class:`CellBudget`). The supervisor polls both; a breach SIGKILLs the
-  worker and records a typed quarantine
-  (:class:`~repro.sim.errors.ResourceBudgetExceeded` semantics) — budget
-  kills are never retried, they are deterministic.
-* **Backoff restarts.** A dead worker slot (crash, budget kill, external
-  SIGKILL) is restarted with exponential backoff
-  (``backoff_base_s * 2^deaths``, capped), reset on the next successful
-  cell. The cell a worker died holding is retried up to ``retries`` times,
-  then reported as crashed.
-* **Graceful preemption.** On SIGINT/SIGTERM the supervisor stops
-  dispatching, drains in-flight cells (up to ``drain_s``), and raises
-  :class:`~repro.sim.errors.RunInterrupted`; a second signal kills
-  in-flight workers immediately. Either way every completed cell was
-  already delivered to the caller's callbacks — with a journal attached,
-  nothing durable is lost.
-
-The supervisor is policy-free about results: it runs ``task_runner(task)``
-(a picklable module-level callable) for each ``(index, task)`` item and
-reports completions and failures through callbacks; the sweep executor and
-the chaos campaign translate those into their own row/outcome types.
+* :class:`CellBudget` — the per-call wall/RSS budget (``None`` disables an
+  axis);
+* :func:`budget_breach` — the single breach decision, so a breach produces
+  the same typed kind (``"wall-budget"`` / ``"rss-budget"``) and message
+  wherever the work runs;
+* :func:`run_isolated` — spawn the child, poll :func:`budget_breach`, kill
+  on a breach and return an :class:`IsolatedResult`. Callers that hold a
+  lease pass a periodic ``on_tick`` callback (the fabric worker renews its
+  lease there); an exception from the callback kills the child and
+  propagates.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
 import signal
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..sim.errors import RunInterrupted
-from .executor import logger, resolve_workers
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = [
     "CellBudget",
-    "CellFailure",
-    "SupervisorStats",
-    "WorkerSupervisor",
+    "IsolatedResult",
     "budget_breach",
     "rss_mb_of",
+    "run_isolated",
 ]
 
 
@@ -75,39 +53,12 @@ class CellBudget:
             raise ValueError(f"rss_mb must be positive, got {self.rss_mb}")
 
 
-@dataclass
-class CellFailure:
-    """Why a cell produced no result.
-
-    ``kind`` is one of ``"crashed"`` (the runner raised, or the worker died
-    mid-cell), ``"wall-budget"`` or ``"rss-budget"`` (the supervisor killed
-    the worker). ``attempts`` counts executions including the failed ones.
-    """
-
-    index: int
-    task: Any
-    kind: str
-    detail: str
-    attempts: int = 1
-
-
-@dataclass
-class SupervisorStats:
-    """Accounting for one :meth:`WorkerSupervisor.run`."""
-
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
-    budget_kills: int = 0
-    worker_restarts: int = 0
-
-
 def rss_mb_of(pid: int) -> Optional[float]:
     """Resident set size of ``pid`` in MiB via ``/proc`` (Linux).
 
     Returns ``None`` where ``/proc/<pid>/statm`` is unavailable (non-Linux,
     or the process already exited) — RSS budgets degrade to unenforced
-    rather than crashing the supervisor.
+    rather than crashing the caller.
     """
     try:
         with open(f"/proc/{pid}/statm", "rb") as handle:
@@ -126,12 +77,8 @@ def budget_breach(
 ) -> Optional[Tuple[str, str]]:
     """``(kind, detail)`` when a cell has exceeded ``budget``, else ``None``.
 
-    The single budget-enforcement decision, shared by the in-process
-    supervisor's police loop and the fabric's pull-based workers
-    (:mod:`repro.analysis.worker`), so a wall/RSS breach produces the same
-    typed kind (``"wall-budget"`` / ``"rss-budget"``) and the same message
-    wherever the cell happens to run. ``started_at``/``now`` are
-    ``time.monotonic()`` values; ``pid`` enables the RSS axis.
+    ``started_at``/``now`` are ``time.monotonic()`` values; ``pid`` enables
+    the RSS axis.
     """
     if budget is None:
         return None
@@ -154,372 +101,110 @@ def budget_breach(
     return None
 
 
-def _worker_main(
-    task_runner: Callable,
-    task_q,
-    result_q,
-    heartbeat,
-    heartbeat_s: float,
-    parent_pid: int,
-) -> None:
-    """Worker process body: claim one cell at a time, report, heartbeat.
+@dataclass(frozen=True)
+class IsolatedResult:
+    """How one :func:`run_isolated` call ended.
+
+    ``kind`` is one of:
+
+    * ``"done"`` — the call returned; ``value`` is its result;
+    * ``"raised"`` — the call raised; ``value`` is the exception (it
+      crossed the process boundary intact) and ``detail`` its
+      ``"ExceptionType: message"`` text;
+    * ``"error"`` — the call raised an exception that cannot be pickled,
+      or the child died without reporting; only ``detail`` is set;
+    * ``"budget"`` — the child was SIGKILLed for a breach; ``violated`` is
+      ``"wall-budget"`` or ``"rss-budget"`` and ``detail`` the message.
+    """
+
+    kind: str
+    value: Any = None
+    detail: str = ""
+    violated: Optional[str] = None
+
+
+def _child_main(target: Callable, args: tuple, result_q) -> None:
+    """Child-process body: one call, one report.
 
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole process
-    group) reaches only the supervisor, which drains us gracefully instead
-    of us dying mid-cell.
+    group) reaches only the parent, which decides whether to drain.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def beat() -> None:
-        while True:
-            heartbeat.value = time.monotonic()
-            if os.getppid() != parent_pid:
-                os._exit(1)  # orphaned: the supervisor was SIGKILLed
-            time.sleep(heartbeat_s)
-
-    threading.Thread(target=beat, daemon=True).start()
-    while True:
+    try:
+        result = target(*args)
+    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+        detail = f"{type(exc).__name__}: {exc}"
         try:
-            item = task_q.get(timeout=0.25)
-        except queue.Empty:
-            if os.getppid() != parent_pid:
-                os._exit(1)
-            continue
-        if item is None:
-            return
-        index, task = item
-        try:
-            result = task_runner(task)
-        except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-            result_q.put(("error", index, f"{type(exc).__name__}: {exc}"))
+            pickle.dumps(exc)
+        except Exception:  # noqa: BLE001 — degrade to the text
+            result_q.put(("error", None, detail))
         else:
-            result_q.put(("done", index, result))
+            result_q.put(("raised", exc, detail))
+    else:
+        result_q.put(("done", result, ""))
 
 
-class _Slot:
-    """One supervised worker seat: process + private queue + heartbeat."""
+def run_isolated(
+    target: Callable,
+    args: tuple,
+    budget: Optional[CellBudget],
+    *,
+    poll_s: float = 0.05,
+    tick_s: Optional[float] = None,
+    on_tick: Optional[Callable[[], None]] = None,
+) -> IsolatedResult:
+    """Run ``target(*args)`` in a disposable child, policed by ``budget``.
 
-    def __init__(self, slot_id: int) -> None:
-        self.slot_id = slot_id
-        self.process: Optional[multiprocessing.Process] = None
-        self.task_q = None
-        self.heartbeat = None
-        #: (index, task, attempts, start monotonic) while a cell is held.
-        self.busy: Optional[Tuple[int, Any, int, float]] = None
-        self.deaths = 0  # consecutive, reset on a completed cell
-        self.restart_at = 0.0
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
-class WorkerSupervisor:
-    """Run ``(index, task)`` items through supervised worker processes.
-
-    Results arrive through callbacks, in completion order (callers that
-    need grid order assemble by index):
-
-    * ``on_start(index, task)`` — the cell was handed to a worker (the
-      journaling hook for ``started`` records);
-    * ``on_result(index, task, result)`` — the runner returned;
-    * ``on_failure(failure: CellFailure)`` — the cell is out of attempts
-      or was budget-killed.
-
-    :meth:`run` returns :class:`SupervisorStats`; it raises
-    :class:`~repro.sim.errors.RunInterrupted` after a graceful drain if a
-    SIGINT/SIGTERM arrived (callbacks for everything that completed during
-    the drain have already fired).
+    ``on_tick`` (if given) is called every ``tick_s`` seconds while the
+    child runs. Any exception from the callback — or a signal raised into
+    the caller — SIGKILLs the child before it propagates, so no child ever
+    outlives its policing loop.
     """
-
-    def __init__(
-        self,
-        task_runner: Callable,
-        *,
-        workers: Optional[int] = None,
-        budget: Optional[CellBudget] = None,
-        retries: int = 1,
-        heartbeat_s: float = 0.2,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        drain_s: float = 30.0,
-        stall_s: Optional[float] = None,
-        install_signal_handlers: bool = True,
-    ) -> None:
-        self.task_runner = task_runner
-        self.workers = resolve_workers(workers)
-        self.budget = budget or CellBudget()
-        self.retries = retries
-        self.heartbeat_s = heartbeat_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.drain_s = drain_s
-        #: A busy worker whose heartbeat is older than this is wedged
-        #: (frozen process, not merely slow compute — the beat thread
-        #: survives GIL-bound loops) and is killed + retried. ``None``
-        #: disables the check; the wall budget usually subsumes it.
-        self.stall_s = stall_s
-        self.install_signal_handlers = install_signal_handlers
-        self._preempted: Optional[str] = None
-        self._hard_stop = False
-        self._result_q = None
-
-    # -------------------------------------------------------------- signals
-
-    def _handle_signal(self, signum, frame) -> None:
-        name = signal.Signals(signum).name
-        if self._preempted is None:
-            self._preempted = name
-            logger.warning(
-                "%s received: draining in-flight cells (repeat to abort)", name
-            )
-        else:
-            self._hard_stop = True
-
-    # ------------------------------------------------------------------ run
-
-    def run(
-        self,
-        items: Sequence[Tuple[int, Any]],
-        *,
-        on_start: Optional[Callable[[int, Any], None]] = None,
-        on_result: Optional[Callable[[int, Any, Any], None]] = None,
-        on_failure: Optional[Callable[[CellFailure], None]] = None,
-    ) -> SupervisorStats:
-        stats = SupervisorStats()
-        if not items:
-            return stats
-        pending: List[Tuple[int, Any, int]] = [
-            (index, task, 0) for index, task in items
-        ]
-        pending.reverse()  # pop() dispatches in grid order
-        outstanding = len(pending)
-        result_q = multiprocessing.Queue()
-        self._result_q = result_q
-        slots = [_Slot(i) for i in range(min(self.workers, len(items)))]
-        for slot in slots:
-            self._spawn(slot, result_q)
-
-        use_handlers = (
-            self.install_signal_handlers
-            and threading.current_thread() is threading.main_thread()
-        )
-        previous = {}
-        if use_handlers:
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous[signum] = signal.signal(signum, self._handle_signal)
-        drain_deadline: Optional[float] = None
-        try:
-            while outstanding > 0:
-                if self._preempted is not None and drain_deadline is None:
-                    drain_deadline = time.monotonic() + self.drain_s
-                if self._hard_stop or (
-                    drain_deadline is not None
-                    and time.monotonic() > drain_deadline
-                ):
-                    break
-                if self._preempted is None:
-                    self._dispatch(pending, slots, on_start)
-                elif not any(slot.busy for slot in slots):
-                    break  # drained: nothing in flight, dispatch stopped
-                outstanding -= self._drain_results(
-                    result_q, slots, pending, stats, on_result, on_failure
-                )
-                outstanding -= self._police(
-                    slots, result_q, pending, stats, on_failure
-                )
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-            self._shutdown(slots)
-            result_q.close()
-            result_q.cancel_join_thread()
-        if self._preempted is not None:
-            remaining = outstanding
-            raise RunInterrupted(
-                f"{self._preempted}: drained supervised run "
-                f"({len(items) - remaining} of {len(items)} cells done, "
-                f"{remaining} remaining)",
-                completed=len(items) - remaining,
-                remaining=remaining,
-            )
-        return stats
-
-    # ------------------------------------------------------------ internals
-
-    def _spawn(self, slot: _Slot, result_q) -> None:
-        slot.task_q = multiprocessing.Queue(maxsize=1)
-        slot.heartbeat = multiprocessing.Value("d", time.monotonic())
-        slot.process = multiprocessing.Process(
-            target=_worker_main,
-            args=(
-                self.task_runner, slot.task_q, result_q, slot.heartbeat,
-                self.heartbeat_s, os.getpid(),
-            ),
-            daemon=True,
-        )
-        slot.process.start()
-
-    def _dispatch(self, pending, slots, on_start) -> None:
-        now = time.monotonic()
-        for slot in slots:
-            if not pending:
-                return
-            if slot.busy is not None:
-                continue
-            if not slot.alive:
-                if now >= slot.restart_at:
-                    self._restart(slot)
-                continue
-            index, task, attempts = pending.pop()
-            slot.busy = (index, task, attempts, now)
-            slot.task_q.put((index, task))
-            if attempts == 0 and on_start is not None:
-                on_start(index, task)
-
-    def _restart(self, slot: _Slot) -> None:
-        result_q = self._result_q
-        self._reap(slot)
-        self._spawn(slot, result_q)
-
-    def _reap(self, slot: _Slot) -> None:
-        if slot.process is not None:
-            slot.process.join(timeout=1.0)
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
-            if not slot.process.is_alive():
-                slot.process.close()
-            slot.process = None
-        if slot.task_q is not None:
-            slot.task_q.close()
-            slot.task_q.cancel_join_thread()
-            slot.task_q = None
-
-    def _drain_results(
-        self, result_q, slots, pending, stats, on_result, on_failure
-    ) -> int:
-        """Deliver every queued worker report; returns cells resolved."""
-        resolved = 0
+    result_q: multiprocessing.Queue = multiprocessing.Queue()
+    process = multiprocessing.Process(
+        target=_child_main, args=(target, args, result_q), daemon=True
+    )
+    process.start()
+    started = time.monotonic()
+    next_tick = started + tick_s if on_tick is not None else None
+    try:
         while True:
+            # Read the report before joining: a child blocked on a full
+            # result pipe never exits, so join-first could wait forever.
+            # A child already gone gets one grace read for a report still
+            # in the pipe.
+            alive = process.is_alive()
             try:
-                kind, index, payload = result_q.get(timeout=self.heartbeat_s)
+                kind, value, detail = result_q.get(
+                    timeout=poll_s if alive else 1.0
+                )
             except queue.Empty:
-                return resolved
-            slot = next(
-                (s for s in slots if s.busy and s.busy[0] == index), None
-            )
-            attempts = (slot.busy[2] if slot else 0) + 1
-            if slot is not None:
-                task = slot.busy[1]
-                slot.busy = None
-                slot.deaths = 0
-            else:
-                # The worker was killed right after queueing this report
-                # (budget race); the cell was already resolved then.
-                continue
-            if kind == "done":
-                stats.completed += 1
-                resolved += 1
-                if on_result is not None:
-                    on_result(index, task, payload)
-            else:
-                resolved += self._failed_attempt(
-                    CellFailure(index, task, "crashed", payload, attempts),
-                    pending, stats, on_failure,
-                )
-
-    def _police(self, slots, result_q, pending, stats, on_failure) -> int:
-        """Budget enforcement + dead-worker detection; returns resolved."""
-        resolved = 0
-        now = time.monotonic()
-        for slot in slots:
-            if slot.busy is None:
-                if not slot.alive and slot.process is not None:
-                    # Idle worker died (external kill): restart with backoff.
-                    self._note_death(slot, stats)
-                continue
-            index, task, attempts, start = slot.busy
-            failure: Optional[CellFailure] = None
-            if not slot.alive:
-                code = slot.process.exitcode if slot.process else None
-                failure = CellFailure(
-                    index, task, "crashed",
-                    f"worker died mid-cell (exit code {code})", attempts + 1,
-                )
-            elif (
-                self.stall_s is not None
-                and now - slot.heartbeat.value > self.stall_s
-            ):
-                failure = CellFailure(
-                    index, task, "crashed",
-                    f"worker heartbeat stalled for more than "
-                    f"{self.stall_s:g}s (wedged process)", attempts + 1,
-                )
-            else:
-                breach = budget_breach(
-                    self.budget,
-                    started_at=start,
-                    pid=slot.process.pid if slot.process else None,
-                    now=now,
-                )
-                if breach is not None:
-                    failure = CellFailure(
-                        index, task, breach[0], breach[1], attempts + 1
+                if not alive:
+                    return IsolatedResult(
+                        "error",
+                        detail=f"worker died mid-cell "
+                        f"(exit code {process.exitcode})",
                     )
-            if failure is None:
-                continue
-            if failure.kind != "crashed":
-                stats.budget_kills += 1
-                if slot.process is not None:
-                    slot.process.kill()
-            slot.busy = None
-            self._note_death(slot, stats)
-            resolved += self._failed_attempt(
-                failure, pending, stats, on_failure
+            else:
+                process.join(timeout=2.0)
+                return IsolatedResult(kind, value=value, detail=detail)
+            now = time.monotonic()
+            if next_tick is not None and now >= next_tick:
+                on_tick()
+                next_tick = now + tick_s
+            breach = budget_breach(
+                budget, started_at=started, pid=process.pid, now=now
             )
-        return resolved
-
-    def _note_death(self, slot: _Slot, stats: SupervisorStats) -> None:
-        slot.deaths += 1
-        stats.worker_restarts += 1
-        delay = min(
-            self.backoff_base_s * (2 ** (slot.deaths - 1)), self.backoff_cap_s
-        )
-        slot.restart_at = time.monotonic() + delay
-        self._reap(slot)
-
-    def _failed_attempt(
-        self, failure: CellFailure, pending, stats, on_failure
-    ) -> int:
-        """Retry crashes (not budget kills); returns 1 when terminal."""
-        if failure.kind == "crashed" and failure.attempts <= self.retries:
-            logger.warning(
-                "cell %d crashed (%s); retrying (%d/%d)",
-                failure.index, failure.detail, failure.attempts, self.retries,
-            )
-            stats.retried += 1
-            pending.append(
-                (failure.index, failure.task, failure.attempts)
-            )
-            return 0
-        stats.failed += 1
-        if on_failure is not None:
-            on_failure(failure)
-        return 1
-
-    def _shutdown(self, slots) -> None:
-        for slot in slots:
-            if slot.alive and slot.busy is None:
-                try:
-                    slot.task_q.put_nowait(None)
-                except (queue.Full, ValueError):
-                    pass
-        deadline = time.monotonic() + 2.0
-        for slot in slots:
-            if slot.process is None:
-                continue
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-            self._reap(slot)
+            if breach is not None:
+                process.kill()
+                process.join(timeout=2.0)
+                return IsolatedResult(
+                    "budget", detail=breach[1], violated=breach[0]
+                )
+    except BaseException:
+        process.kill()
+        process.join(timeout=2.0)
+        raise
+    finally:
+        result_q.close()
+        result_q.cancel_join_thread()

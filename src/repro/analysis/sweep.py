@@ -51,6 +51,38 @@ class SweepConfig:
     engine: str = DEFAULT_ENGINE
     model: Optional[SystemModel] = None
 
+    def to_dict(self) -> dict:
+        """JSON-ready grid description (the store header's ``config``)."""
+        payload = {
+            "algorithms": list(self.algorithms),
+            "sizes": [list(size) for size in self.sizes],
+            "attacks": list(self.attacks),
+            "seeds": list(self.seeds),
+            "workload": self.workload,
+            "collect_trace": self.collect_trace,
+            "max_rounds": self.max_rounds,
+            "engine": self.engine,
+        }
+        if self.model is not None:
+            payload["model"] = self.model.to_dict()
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SweepConfig":
+        """Inverse of :meth:`to_dict`."""
+        model = payload.get("model")
+        return cls(
+            algorithms=payload["algorithms"],
+            sizes=[tuple(size) for size in payload["sizes"]],
+            attacks=payload["attacks"],
+            seeds=payload["seeds"],
+            workload=payload["workload"],
+            collect_trace=payload["collect_trace"],
+            max_rounds=payload["max_rounds"],
+            engine=payload["engine"],
+            model=None if model is None else SystemModel.from_dict(model),
+        )
+
     def configurations(self) -> Iterator[Tuple[str, int, int, str, int]]:
         """Yield runnable (algorithm, n, t, attack, seed) tuples."""
         model_kind = "classic" if self.model is None else self.model.kind

@@ -18,16 +18,17 @@ Execution semantics mirror the single-host paths cell for cell:
   built from the *second* error's message — exactly the serial executor's
   behavior, so fabric reports stay byte-identical to in-process ones.
 * **Budgets.** With a :class:`~repro.analysis.supervisor.CellBudget`, each
-  cell runs in a disposable child process policed by the same
-  :func:`~repro.analysis.supervisor.budget_breach` decision the supervisor
-  uses — a breach SIGKILLs the child and quarantines the cell with the
-  identical typed kind and message; budget kills are never retried.
+  attempt runs in a disposable child process through
+  :func:`~repro.analysis.supervisor.run_isolated` — a breach SIGKILLs the
+  child and quarantines the cell with the typed kind (``wall-budget`` /
+  ``rss-budget``); budget kills are never retried.
 * **Heartbeats.** While a cell executes, the lease is renewed at a third
-  of its duration (a daemon thread in-process, the police loop around the
-  child otherwise). A worker that dies stops renewing; the lease expires
-  and a peer takes the cell over. If *our* lease is taken over we drop the
-  result on the floor (:class:`~repro.sim.errors.LeaseLost`): the store
-  guarantees the first durable terminal record wins.
+  of its duration (a daemon thread in-process, the policing loop's tick
+  callback around the child otherwise). A worker that dies stops
+  renewing; the lease expires and a peer takes the cell over. If *our*
+  lease is taken over we drop the result on the floor
+  (:class:`~repro.sim.errors.LeaseLost`): the store guarantees the first
+  durable terminal record wins.
 
 The translation between store payloads and the sweep/chaos row types lives
 in the :data:`RUNNERS` registry — one :class:`CellRunner` per run kind —
@@ -39,9 +40,7 @@ register additional kinds (e.g. synthetic no-op cells).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
 import socket
 import threading
 import time
@@ -53,7 +52,7 @@ from .backoff import PollBackoff
 from .campaign import ChaosOutcome, ChaosTask, execute_chaos_task
 from .executor import ExperimentSummary, RunTask, execute_task, logger
 from .store import Claim, DEFAULT_LEASE_S, ResultStore, open_store
-from .supervisor import CellBudget, budget_breach
+from .supervisor import CellBudget, IsolatedResult, run_isolated
 
 __all__ = [
     "CellRunner",
@@ -83,8 +82,8 @@ class CellRunner:
     encode: Callable[[Any, int], dict]
     failure: Callable[[Any, str, int], dict]
     #: Terminal state for an exhausted crash retry ("failed" for sweeps —
-    #: a deterministic failure row — "quarantined" for chaos, matching the
-    #: journaled paths' record choice).
+    #: a deterministic failure row — "quarantined" for chaos, where a
+    #: crashed cell is a quarantined ``crashed`` outcome).
     failure_state: str
     budget_failure: Callable[[Any, str, str], dict]
     decode_row: Callable[[Any, dict], Any]
@@ -172,15 +171,10 @@ class WorkerStats:
     extras: Dict[str, int] = field(default_factory=dict)
 
 
-def _cell_main(kind: str, payload: dict, result_q) -> None:
+def _cell_main(kind: str, payload: dict) -> dict:
     """Child-process body for budget-isolated execution: one attempt."""
     runner = RUNNERS[kind]
-    try:
-        task = runner.decode(payload)
-        result = runner.execute(task)
-        result_q.put(("done", runner.encode(result, 0)))
-    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-        result_q.put(("error", f"{type(exc).__name__}: {exc}"))
+    return runner.encode(runner.execute(runner.decode(payload)), 0)
 
 
 class Worker:
@@ -324,10 +318,19 @@ class Worker:
                         self.worker_id, claim.cell, exc,
                     )
 
+        def attempt(task) -> IsolatedResult:
+            try:
+                result = runner.execute(task)
+            except Exception as exc:  # noqa: BLE001 — retried, then recorded
+                return IsolatedResult(
+                    "error", detail=f"{type(exc).__name__}: {exc}"
+                )
+            return IsolatedResult("done", runner.encode(result, 0))
+
         thread = threading.Thread(target=beat, daemon=True)
         thread.start()
         try:
-            return self._attempts(runner, claim)
+            return self._attempts(runner, claim, attempt)
         finally:
             stop.set()
             thread.join(timeout=5.0)
@@ -338,111 +341,59 @@ class Worker:
                     f"lease on cell {claim.cell} expired mid-execution"
                 )
 
-    def _attempts(
-        self, runner: CellRunner, claim: Claim
-    ) -> Tuple[str, dict, Optional[str]]:
-        """Retry-once execution, serial-path-identical semantics."""
-        task = runner.decode(claim.task)
-        attempts = 0
-        while True:
-            try:
-                result = runner.execute(task)
-            except Exception as exc:  # noqa: BLE001 — retried, then recorded
-                attempts += 1
-                detail = f"{type(exc).__name__}: {exc}"
-                if attempts <= self.retries:
-                    logger.warning(
-                        "cell %d crashed (%s); retrying (%d/%d)",
-                        claim.cell, detail, attempts, self.retries,
-                    )
-                    self._note_retry(claim)
-                    continue
-                self.stats.failed += 1
-                return (
-                    runner.failure_state,
-                    runner.failure(task, detail, attempts),
-                    "crashed",
-                )
-            return "finished", runner.encode(result, attempts), None
-
     def _execute_isolated(
         self, runner: CellRunner, claim: Claim
     ) -> Tuple[str, dict, Optional[str]]:
-        """One disposable child process per attempt, budget-policed."""
+        """One disposable child process per attempt, budget-policed; the
+        lease is renewed from the policing loop (LeaseLost kills the
+        child and propagates)."""
+        return self._attempts(
+            runner, claim,
+            lambda task: run_isolated(
+                _cell_main, (runner.kind, claim.task), self.budget,
+                tick_s=self.lease_s / 3,
+                on_tick=lambda: self.store.renew(claim, self.lease_s),
+            ),
+        )
+
+    def _attempts(
+        self, runner: CellRunner, claim: Claim,
+        attempt: Callable[[Any], IsolatedResult],
+    ) -> Tuple[str, dict, Optional[str]]:
+        """Retry-once execution, serial-path-identical semantics: crashes
+        are retried, budget kills never are."""
         task = runner.decode(claim.task)
-        attempts = 0
+        failures = 0
         while True:
-            verdict = self._isolated_attempt(runner, claim)
-            if verdict[0] == "done":
-                payload = runner.set_retries(verdict[1], attempts)
-                return "finished", payload, None
-            if verdict[0] == "budget":
-                _, kind, detail = verdict
+            verdict = attempt(task)
+            if verdict.kind == "done":
+                return (
+                    "finished", runner.set_retries(verdict.value, failures),
+                    None,
+                )
+            if verdict.kind == "budget":
                 self.stats.budget_kills += 1
                 return (
                     "quarantined",
-                    runner.budget_failure(task, kind, detail),
-                    kind,
+                    runner.budget_failure(
+                        task, verdict.violated, verdict.detail
+                    ),
+                    verdict.violated,
                 )
-            detail = verdict[1]
-            attempts += 1
-            if attempts <= self.retries:
+            failures += 1
+            if failures <= self.retries:
                 logger.warning(
                     "cell %d crashed (%s); retrying (%d/%d)",
-                    claim.cell, detail, attempts, self.retries,
+                    claim.cell, verdict.detail, failures, self.retries,
                 )
                 self._note_retry(claim)
                 continue
             self.stats.failed += 1
             return (
                 runner.failure_state,
-                runner.failure(task, detail, attempts),
+                runner.failure(task, verdict.detail, failures),
                 "crashed",
             )
-
-    def _isolated_attempt(self, runner: CellRunner, claim: Claim) -> Tuple:
-        """One child-process attempt: ``("done", payload)``,
-        ``("error", detail)`` or ``("budget", kind, detail)``."""
-        result_q: multiprocessing.Queue = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_cell_main,
-            args=(runner.kind, claim.task, result_q),
-            daemon=True,
-        )
-        process.start()
-        started = time.monotonic()
-        next_renew = started + self.lease_s / 3
-        try:
-            while True:
-                process.join(timeout=0.05)
-                if not process.is_alive():
-                    break
-                now = time.monotonic()
-                if now >= next_renew:
-                    self.store.renew(claim, self.lease_s)  # LeaseLost ↑
-                    next_renew = now + self.lease_s / 3
-                breach = budget_breach(
-                    self.budget, started_at=started, pid=process.pid, now=now
-                )
-                if breach is not None:
-                    process.kill()
-                    process.join(timeout=2.0)
-                    return ("budget", breach[0], breach[1])
-            try:
-                kind_, payload = result_q.get(timeout=1.0)
-            except queue.Empty:
-                return (
-                    "error",
-                    f"worker died mid-cell (exit code {process.exitcode})",
-                )
-            return ("done", payload) if kind_ == "done" else ("error", payload)
-        except LeaseLost:
-            process.kill()
-            process.join(timeout=2.0)
-            raise
-        finally:
-            result_q.close()
-            result_q.cancel_join_thread()
 
     # ------------------------------------------------------------ write-back
 

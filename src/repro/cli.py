@@ -24,16 +24,15 @@ from .analysis import (
     CellBudget,
     ChaosCampaign,
     ChaosTask,
-    RunJournal,
     SweepConfig,
     SweepExecutor,
     chaos_grid,
     format_table,
     group_by,
-    list_runs,
+    open_store,
     render_timeline,
     run_experiment,
-    scan_journal,
+    store_doctor,
     summarize_views,
 )
 from .analysis.store import DEFAULT_LEASE_S
@@ -56,11 +55,11 @@ EXIT_OK = 0            # ran to completion, every checked property held
 EXIT_VIOLATION = 2     # ran to completion, a verified property was violated
 EXIT_INFRA = 3         # infra/config failure: bad config, unhealthy
 #                        campaign (quarantine/silent success), unusable
-#                        journal — the *measurement* never happened
-EXIT_INTERRUPTED = 4   # preempted (SIGINT/SIGTERM) but drained and
-#                        journaled: re-run `runs resume` to continue
+#                        store or journal — the *measurement* never happened
+EXIT_INTERRUPTED = 4   # preempted (SIGINT/SIGTERM) but drained; everything
+#                        finished is in the store: `runs resume` continues
 
-#: Default directory for run journals (``--journal``/``--runs-dir``).
+#: Default directory ``runs list`` scans for result stores.
 DEFAULT_RUNS_DIR = ".repro-runs"
 
 
@@ -99,40 +98,32 @@ def _parse_run_id(text: str) -> str:
 
 def _add_durability_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
-        "--journal", metavar="DIR", default=None,
-        help="make the run durable: write a resumable write-ahead journal "
-             "under DIR and execute under worker supervision (SIGINT/"
-             "SIGTERM drain in-flight cells and exit resumable)",
-    )
-    command.add_argument(
-        "--run-id", type=_parse_run_id, default=None, metavar="NAME",
-        help="journal name under --journal DIR (default: derived from the "
-             "config fingerprint)",
-    )
-    command.add_argument(
-        "--cell-wall", type=float, default=None, metavar="S",
-        help="per-cell wall-clock budget in seconds (supervised runs; a "
-             "breach quarantines the cell and restarts the worker)",
-    )
-    command.add_argument(
-        "--cell-rss", type=float, default=None, metavar="MB",
-        help="per-cell worker RSS budget in MiB (supervised runs, Linux)",
-    )
-
-
-def _add_store_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
         "--store", metavar="URL", default=None,
-        help="run on the coordinator/worker fabric over a shared result "
-             "store: a directory path (or dir:PATH) for the file backend, "
-             "sqlite:PATH (or any .sqlite/.sqlite3/.db path) for the "
-             "sqlite backend; mutually exclusive with --journal",
+        help="make the run durable and resumable on the coordinator/worker "
+             "fabric over a result store: a directory path (or dir:PATH) "
+             "for the file backend — the local durable mode — or "
+             "sqlite:PATH (or any .sqlite/.sqlite3/.db path); SIGINT/"
+             "SIGTERM drain in-flight cells and exit resumable",
     )
     command.add_argument(
         "--coordinator-only", action="store_true",
         help="with --store: seed the store and stream results but start no "
              "workers — separately started 'repro-renaming worker --store "
              "URL' processes execute the cells",
+    )
+    command.add_argument(
+        "--run-id", type=_parse_run_id, default=None, metavar="NAME",
+        help="run id recorded in the store header (default: derived from "
+             "the config fingerprint)",
+    )
+    command.add_argument(
+        "--cell-wall", type=float, default=None, metavar="S",
+        help="per-cell wall-clock budget in seconds (--store runs; a "
+             "breach SIGKILLs the cell's child process and quarantines it)",
+    )
+    command.add_argument(
+        "--cell-rss", type=float, default=None, metavar="MB",
+        help="per-cell child RSS budget in MiB (--store runs, Linux)",
     )
 
 
@@ -276,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", metavar="PATH", default=None,
                        help="also write the full triage report as JSON to PATH")
     _add_durability_flags(chaos)
-    _add_store_flags(chaos)
 
     sweep = commands.add_parser("sweep", help="run a configuration grid")
     sweep.add_argument("--algorithms", nargs="+", required=True, choices=sorted(ALGORITHMS))
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flag(sweep)
     _add_engine_flag(sweep)
     _add_durability_flags(sweep)
-    _add_store_flags(sweep)
 
     worker = commands.add_parser(
         "worker",
@@ -569,24 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "connection index)")
 
     runs = commands.add_parser(
-        "runs", help="manage durable (journaled) runs: list, resume, triage"
+        "runs", help="manage durable (--store) runs: list, resume, triage"
     )
     runs_commands = runs.add_subparsers(dest="runs_command", required=True)
 
     runs_list = runs_commands.add_parser(
-        "list", help="list the journals in a runs directory"
+        "list", help="list the result stores in a runs directory"
     )
     runs_list.add_argument("--runs-dir", default=DEFAULT_RUNS_DIR,
                            metavar="DIR")
 
     runs_resume = runs_commands.add_parser(
         "resume",
-        help="continue an interrupted run: replay its journal, verify the "
-             "config fingerprint, skip finished cells, re-run the crash set",
+        help="continue an interrupted run: rebuild its grid from the store "
+             "header, re-seed (the config fingerprint must match), restore "
+             "terminal cells and execute only the rest",
     )
-    runs_resume.add_argument("run_id", type=_parse_run_id)
-    runs_resume.add_argument("--runs-dir", default=DEFAULT_RUNS_DIR,
-                             metavar="DIR")
+    runs_resume.add_argument("--store", metavar="URL", required=True)
     runs_resume.add_argument(
         "--workers", type=_parse_workers, default=None, metavar="N",
         help="worker processes for the remaining cells (default: one per "
@@ -598,31 +586,24 @@ def build_parser() -> argparse.ArgumentParser:
                              help="(chaos runs) write the triage JSON to PATH")
     runs_resume.add_argument(
         "--cell-wall", type=float, default=None, metavar="S",
-        help="override the journaled per-cell wall budget",
+        help="override the recorded per-cell wall budget",
     )
     runs_resume.add_argument(
         "--cell-rss", type=float, default=None, metavar="MB",
-        help="override the journaled per-cell RSS budget",
+        help="override the recorded per-cell RSS budget",
     )
 
     runs_doctor = runs_commands.add_parser(
         "doctor",
-        help="triage a journal: crash set, quarantine reasons, budget "
-             "kills, torn tail (reported and truncated safely)",
+        help="triage a result store: lease health, reclaims, claim races, "
+             "double executions",
     )
-    runs_doctor.add_argument("run_id", type=_parse_run_id, nargs="?",
-                             default=None)
-    runs_doctor.add_argument("--runs-dir", default=DEFAULT_RUNS_DIR,
-                             metavar="DIR")
-    runs_doctor.add_argument(
-        "--store", metavar="URL", default=None,
-        help="triage a fabric result store instead of a journal: lease "
-             "health, reclaims, claim races, double executions",
-    )
+    runs_doctor.add_argument("--store", metavar="URL", required=True)
     runs_doctor.add_argument(
         "--assert-no-reexecution", action="store_true",
-        help="exit with the infra code if any finished cell was "
-             "re-executed (the resume-smoke and fabric-smoke CI invariant)",
+        help="exit with the infra code if any cell produced a second "
+             "terminal result (the resume-smoke and fabric-smoke CI "
+             "invariant)",
     )
     return parser
 
@@ -782,7 +763,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _budget_from(args, fallback: Optional[dict] = None) -> Optional[CellBudget]:
-    """A :class:`CellBudget` from CLI flags, else journaled defaults."""
+    """A :class:`CellBudget` from CLI flags, else the recorded defaults."""
     fallback = fallback or {}
     wall = args.cell_wall if args.cell_wall is not None else fallback.get("wall_s")
     rss = args.cell_rss if args.cell_rss is not None else fallback.get("rss_mb")
@@ -791,15 +772,14 @@ def _budget_from(args, fallback: Optional[dict] = None) -> Optional[CellBudget]:
     return CellBudget(wall_s=wall, rss_mb=rss)
 
 
-def _journal_path(runs_dir: str, run_id: str) -> Path:
-    return Path(runs_dir) / f"{run_id}.jsonl"
-
-
-def _resume_hint(runs_dir: str, run_id: str) -> str:
-    return (
-        f"interrupted — everything completed so far is journaled; continue "
-        f"with:\n  repro-renaming runs resume {run_id} --runs-dir {runs_dir}"
+def _interrupted(exc: RunInterrupted, store_url: str) -> int:
+    print(f"\n{exc}", file=sys.stderr)
+    print(
+        f"interrupted — everything completed so far is in the store; "
+        f"continue with:\n  repro-renaming runs resume --store {store_url}",
+        file=sys.stderr,
     )
+    return EXIT_INTERRUPTED
 
 
 def _finish_chaos(report, json_path: Optional[str]) -> int:
@@ -817,12 +797,7 @@ def _finish_chaos(report, json_path: Optional[str]) -> int:
 
 
 def _store_flags_error(args) -> Optional[str]:
-    """Validate the --store/--journal/--coordinator-only combination."""
-    if args.store is not None and args.journal is not None:
-        return (
-            "--journal and --store are mutually exclusive: the store "
-            "fabric carries its own durability"
-        )
+    """Validate the --store/--coordinator-only combination."""
     if args.coordinator_only and args.store is None:
         return "--coordinator-only requires --store"
     return None
@@ -867,45 +842,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         fingerprint = ChaosCampaign.fingerprint(tasks)
         run_id = args.run_id or f"chaos-{fingerprint[:10]}"
         print(f"fabric run {run_id!r} on store {args.store}")
-        report = campaign.run(
-            tasks, store=args.store, budget=_budget_from(args),
-            coordinator_only=args.coordinator_only, run_id=run_id,
-        )
+        try:
+            report = campaign.run(
+                tasks, store=args.store, budget=_budget_from(args),
+                coordinator_only=args.coordinator_only, run_id=run_id,
+            )
+        except RunInterrupted as exc:
+            return _interrupted(exc, args.store)
         return _finish_chaos(report, args.json)
-    journal = None
-    if args.journal is not None:
-        fingerprint = ChaosCampaign.fingerprint(tasks)
-        run_id = args.run_id or f"chaos-{fingerprint[:10]}"
-        budget = _budget_from(args)
-        journal = RunJournal.create(
-            _journal_path(args.journal, run_id),
-            kind="chaos",
-            run_id=run_id,
-            config={
-                "tasks": [task.to_dict() for task in tasks],
-                "timeout_s": args.timeout,
-                "budget": {
-                    "wall_s": budget.wall_s if budget else None,
-                    "rss_mb": budget.rss_mb if budget else None,
-                },
-            },
-            fingerprint=fingerprint,
-            cells=len(tasks),
-        )
-        print(f"journaling to {journal.path} (run id: {run_id})")
-    try:
-        report = campaign.run(
-            tasks, journal=journal, budget=_budget_from(args)
-        )
-    except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.journal, journal.state.run_id),
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if journal is not None:
-            journal.close()
-    return _finish_chaos(report, args.json)
+    return _finish_chaos(campaign.run(tasks), args.json)
 
 
 def _finish_sweep(records, executor, csv_path: Optional[str]) -> int:
@@ -945,37 +890,6 @@ def _finish_sweep(records, executor, csv_path: Optional[str]) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
-def _sweep_config_dict(config: SweepConfig) -> dict:
-    payload = {
-        "algorithms": list(config.algorithms),
-        "sizes": [list(size) for size in config.sizes],
-        "attacks": list(config.attacks),
-        "seeds": list(config.seeds),
-        "workload": config.workload,
-        "collect_trace": config.collect_trace,
-        "max_rounds": config.max_rounds,
-        "engine": config.engine,
-    }
-    if config.model is not None:
-        payload["model"] = config.model.to_dict()
-    return payload
-
-
-def _sweep_config_from(payload: dict) -> SweepConfig:
-    model = payload.get("model")
-    return SweepConfig(
-        algorithms=payload["algorithms"],
-        sizes=[tuple(size) for size in payload["sizes"]],
-        attacks=payload["attacks"],
-        seeds=payload["seeds"],
-        workload=payload["workload"],
-        collect_trace=payload["collect_trace"],
-        max_rounds=payload["max_rounds"],
-        engine=payload["engine"],
-        model=None if model is None else SystemModel.from_dict(model),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         algorithms=args.algorithms,
@@ -996,46 +910,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fingerprint = SweepExecutor.fingerprint(tasks)
         run_id = args.run_id or f"sweep-{fingerprint[:10]}"
         print(f"fabric run {run_id!r} on store {args.store}")
-        records = executor.run(
-            config, store=args.store, budget=_budget_from(args),
-            coordinator_only=args.coordinator_only, run_id=run_id,
-        )
+        try:
+            records = executor.run(
+                config, store=args.store, budget=_budget_from(args),
+                coordinator_only=args.coordinator_only, run_id=run_id,
+            )
+        except RunInterrupted as exc:
+            return _interrupted(exc, args.store)
         return _finish_sweep(records, executor, args.csv)
-    journal = None
-    if args.journal is not None:
-        tasks = SweepExecutor.tasks_for(config)
-        fingerprint = SweepExecutor.fingerprint(tasks)
-        run_id = args.run_id or f"sweep-{fingerprint[:10]}"
-        budget = _budget_from(args)
-        journal = RunJournal.create(
-            _journal_path(args.journal, run_id),
-            kind="sweep",
-            run_id=run_id,
-            config={
-                "sweep": _sweep_config_dict(config),
-                "cache": args.cache,
-                "budget": {
-                    "wall_s": budget.wall_s if budget else None,
-                    "rss_mb": budget.rss_mb if budget else None,
-                },
-            },
-            fingerprint=fingerprint,
-            cells=len(tasks),
-        )
-        print(f"journaling to {journal.path} (run id: {run_id})")
-    try:
-        records = executor.run(
-            config, journal=journal, budget=_budget_from(args)
-        )
-    except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.journal, journal.state.run_id),
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        if journal is not None:
-            journal.close()
-    return _finish_sweep(records, executor, args.csv)
+    return _finish_sweep(executor.run(config), executor, args.csv)
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -1378,34 +1261,59 @@ def cmd_proxy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _existing_store(url: str):
+    """Open the store at ``url``, refusing to conjure up an empty one."""
+    path = url.split(":", 1)[1] if url.startswith(("dir:", "sqlite:")) else url
+    if not Path(path).exists():
+        raise StoreError(f"no result store at {url}")
+    return open_store(url)
+
+
+def _store_urls(runs_dir: Path) -> List[str]:
+    """Store URLs directly under ``runs_dir``: directories holding a store
+    header, and sqlite files."""
+    if not runs_dir.is_dir():
+        return []
+    return [
+        f"sqlite:{path}" if path.is_file() else f"dir:{path}"
+        for path in sorted(runs_dir.iterdir())
+        if (path.is_dir() and (path / "header.json").exists())
+        or (path.is_file() and path.suffix in (".db", ".sqlite", ".sqlite3"))
+    ]
+
+
 def cmd_runs_list(args: argparse.Namespace) -> int:
-    states = list_runs(args.runs_dir)
-    if not states:
-        print(f"no journals under {args.runs_dir}")
+    urls = _store_urls(Path(args.runs_dir))
+    if not urls:
+        print(f"no result stores under {args.runs_dir}")
         return EXIT_OK
     rows = []
-    for state in states:
-        if state.header is None:
-            rows.append([state.path.stem, "?", "?", "?", "?", "?", "?",
+    for url in urls:
+        try:
+            store = open_store(url)
+            header = store.header()
+            counts = store.counts()
+        except Exception:  # noqa: BLE001 — shown as damaged, not hidden
+            header = None
+        if header is None:
+            name = url.split(":", 1)[1]
+            rows.append([Path(name).name, "?", "?", "?", "?", "?", "?",
                          "damaged"])
             continue
-        in_flight = len(state.crash_set())
-        if state.complete:
+        if store.complete:
             status = "complete"
-        elif state.interrupted:
+        elif any(e.get("event") == "interrupted" for e in store.events()):
             status = "interrupted"
         else:
-            status = "in-progress"
-        if state.torn:
-            status += " +torn-tail"
+            status = "incomplete"
         rows.append([
-            state.run_id,
-            state.kind,
-            state.cells,
-            len(state.finished),
-            len(state.failed),
-            len(state.quarantined),
-            in_flight,
+            header["run_id"],
+            header["kind"],
+            counts["cells"],
+            counts["finished"],
+            counts["failed"],
+            counts["quarantined"],
+            counts["leased"],
             status,
         ])
     print(
@@ -1419,48 +1327,54 @@ def cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def cmd_runs_resume(args: argparse.Namespace) -> int:
-    path = _journal_path(args.runs_dir, args.run_id)
-    journal = RunJournal.open(path)
-    header = journal.state.header
-    config_payload = header.get("config", {})
-    budget = _budget_from(args, fallback=config_payload.get("budget"))
-    remaining = len(journal.state.remaining())
+    store = _existing_store(args.store)
+    header = store.header()
+    if header is None:
+        raise StoreError(f"store {store.url} is not seeded — nothing to resume")
+    config = header.get("config") or {}
+    budget = _budget_from(args, fallback=config.get("budget"))
+    counts = store.counts()
+    terminal = counts["finished"] + counts["failed"] + counts["quarantined"]
     print(
-        f"resuming {header['kind']} run {journal.state.run_id!r}: "
-        f"{journal.state.cells - remaining}/{journal.state.cells} cells "
-        f"already terminal, {remaining} to execute"
+        f"resuming {header['kind']} run {header['run_id']!r}: "
+        f"{terminal}/{counts['cells']} cells already terminal, "
+        f"{counts['cells'] - terminal} to execute"
     )
     try:
-        if header["kind"] == "sweep":
-            config = _sweep_config_from(config_payload["sweep"])
+        if header["kind"] == "sweep" and "sweep" in config:
             executor = SweepExecutor(
-                workers=args.workers, cache=config_payload.get("cache")
+                workers=args.workers, cache=config.get("cache")
             )
-            records = executor.run(config, journal=journal, budget=budget)
+            records = executor.run(
+                SweepConfig.from_dict(config["sweep"]), store=store,
+                budget=budget, run_id=header["run_id"],
+            )
             return _finish_sweep(records, executor, args.csv)
-        if header["kind"] == "chaos":
-            tasks = [ChaosTask.from_dict(d) for d in config_payload["tasks"]]
+        if header["kind"] == "chaos" and "timeout_s" in config:
+            tasks = [
+                ChaosTask.from_dict(store.task(cell))
+                for cell in range(counts["cells"])
+            ]
             campaign = ChaosCampaign(
                 workers=args.workers,
-                timeout_s=config_payload.get("timeout_s", 120.0),
+                timeout_s=config["timeout_s"],
+                retries=config.get("retries", 1),
             )
-            report = campaign.run(tasks, journal=journal, budget=budget)
+            report = campaign.run(
+                tasks, store=store, budget=budget, run_id=header["run_id"]
+            )
             return _finish_chaos(report, args.json)
-        raise JournalError(
-            f"journal {path} has unknown run kind {header['kind']!r}"
-        )
     except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        print(_resume_hint(args.runs_dir, args.run_id), file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        journal.close()
+        return _interrupted(exc, store.url)
+    raise StoreError(
+        f"store {store.url} holds a {header['kind']!r} run without a "
+        f"recorded config — resume it by re-running its original command "
+        f"with the same --store"
+    )
 
 
-def _store_doctor_report(args: argparse.Namespace) -> int:
-    from .analysis import open_store, store_doctor
-
-    store = open_store(args.store)
+def cmd_runs_doctor(args: argparse.Namespace) -> int:
+    store = _existing_store(args.store)
     report = store_doctor(store)
     header = report["header"]
     if header is None:
@@ -1524,81 +1438,11 @@ def _store_doctor_report(args: argparse.Namespace) -> int:
             "  reexecution: none — every cell produced exactly one "
             "terminal result"
         )
-    print(
-        "  status:      "
-        + ("complete" if report["complete"] else "incomplete")
-    )
-    return EXIT_OK
-
-
-def cmd_runs_doctor(args: argparse.Namespace) -> int:
-    if args.store is not None:
-        return _store_doctor_report(args)
-    if args.run_id is None:
-        print("error: runs doctor needs a run_id or --store URL",
-              file=sys.stderr)
-        return EXIT_INFRA
-    path = _journal_path(args.runs_dir, args.run_id)
-    state = scan_journal(path)
-    if state.header is None:
-        print(f"error: journal {path} has no header record", file=sys.stderr)
-        return EXIT_INFRA
-    print(f"run {state.run_id!r} ({state.kind}), journal {path}")
-    print(f"  fingerprint: {state.header.get('fingerprint', '?')[:16]}…")
-    print(f"  records:     {state.records}")
-    terminal = len(state.finished) + len(state.failed) + len(state.quarantined)
-    print(
-        f"  cells:       {state.cells} total — {len(state.finished)} "
-        f"finished, {len(state.failed)} failed, {len(state.quarantined)} "
-        f"quarantined, {len(state.crash_set())} in flight, "
-        f"{len(state.unstarted())} unstarted"
-    )
-    healthy = True
-    if state.torn:
-        raw = path.read_bytes()
-        torn_bytes = len(raw) - state.good_bytes
-        with open(path, "r+b") as handle:
-            handle.truncate(state.good_bytes)
-        print(
-            f"  torn tail:   {torn_bytes} byte(s) cut mid-append by a crash "
-            f"— truncated (by fsync ordering nothing ever acted on them)"
-        )
-    crash_set = state.crash_set()
-    if crash_set:
-        healthy = False
-        print(
-            f"  crash set:   cells {crash_set} were in flight when the "
-            f"orchestrator died — 'runs resume {state.run_id}' re-queues them"
-        )
-    if state.quarantined:
-        healthy = False
-        by_reason: dict = {}
-        for cell, payload in sorted(state.quarantined.items()):
-            by_reason.setdefault(payload.get("reason", "?"), []).append(cell)
-        for reason, cells in sorted(by_reason.items()):
-            print(f"  quarantined: {reason}: cells {cells}")
-    if state.failed:
-        healthy = False
-        print(f"  failed:      cells {sorted(state.failed)} (deterministic "
-              f"failures; resume restores them without re-running)")
-    reexecuted = state.reexecuted_finished()
-    if reexecuted:
-        print(
-            f"  REEXECUTED:  cells {reexecuted} were started again after a "
-            f"terminal record — the resume discipline was violated"
-        )
-        if args.assert_no_reexecution:
-            return EXIT_INFRA
-    elif args.assert_no_reexecution:
-        print("  reexecution: none — every terminal cell was skipped on resume")
-    if state.complete:
-        print("  status:      complete" + ("" if healthy else " (with findings)"))
-    elif state.interrupted:
-        print(f"  status:      interrupted (drained) — resume with "
-              f"'runs resume {state.run_id} --runs-dir {args.runs_dir}'")
+    if report["complete"]:
+        print("  status:      complete")
     else:
         print(f"  status:      incomplete — resume with "
-              f"'runs resume {state.run_id} --runs-dir {args.runs_dir}'")
+              f"'runs resume --store {store.url}'")
     return EXIT_OK
 
 
@@ -1626,7 +1470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INFRA
     except RunInterrupted as exc:
         # Commands catch this themselves to print a resume hint; this is the
-        # safety net for any journaled path that doesn't.
+        # safety net for any durable path that doesn't.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except BrokenPipeError:

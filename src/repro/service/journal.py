@@ -1,15 +1,14 @@
 """Durable session journal: the daemon's crash-recoverable memory.
 
-The PR 5 run journal made long sweeps survive a SIGKILL by journaling
-progress *before* acting on it; this module applies the identical record
-discipline — append-only JSONL, one checksummed record per line, fsync'd
-before the caller proceeds, torn tail dropped, mid-file corruption a typed
-:class:`~repro.sim.errors.JournalError` — to the renaming daemon's
-sessions, so a restarted ``repro-renaming serve --session-journal`` can
-answer "what name did session X get?" for every session it ever finished.
+The renaming daemon's sessions survive a SIGKILL by journaling progress
+*before* acting on it — append-only JSONL, one checksummed record per
+line, fsync'd before the caller proceeds, torn tail dropped, mid-file
+corruption a typed :class:`~repro.sim.errors.JournalError` — so a
+restarted ``repro-renaming serve --session-journal`` can answer "what
+name did session X get?" for every session it ever finished.
 
-Record types (same ``{v, seq, type, data, crc}`` envelope as
-:mod:`repro.analysis.journal`, ``crc`` a SHA-256 over the canonical body):
+Record types (``{v, seq, type, data, crc}`` envelope, ``crc`` the
+:func:`~repro.analysis.journal.checksum` of the canonical body):
 
 * ``header`` — written once at creation: ``{"kind": "service-sessions"}``.
 * ``accepted`` — the daemon admitted a **tokened** quorum and is about to
@@ -40,19 +39,14 @@ this process becomes durable — how the recovery suite and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
+from ..analysis.journal import CrashHook, canonical_dumps, checksum
 from ..sim.errors import JournalError
-
-# The record envelope (canonical JSON + SHA-256 checksum) is shared with
-# the PR 5 run journal — one on-disk discipline, two ledgers.
-from ..analysis.journal import _canonical, _record_checksum
 
 __all__ = [
     "SERVICE_CRASH_HOOK_ENV",
@@ -86,7 +80,7 @@ def request_fingerprint(request: dict) -> str:
     with different parameters or ids is a client bug, detected by
     comparing this fingerprint — not by trusting the token alone.
     """
-    return hashlib.sha256(_canonical(request).encode("utf-8")).hexdigest()
+    return checksum(request)
 
 
 @dataclass
@@ -150,10 +144,8 @@ def _parse_record(line: bytes, lineno: int, path: Path) -> dict:
         raise JournalError(
             f"{path.name}:{lineno}: unknown record type {record['type']!r}"
         )
-    expected = _record_checksum(
-        record["v"], record["seq"], record["type"], record["data"]
-    )
-    if record["crc"] != expected:
+    body = {key: record[key] for key in ("v", "seq", "type", "data")}
+    if record["crc"] != checksum(body):
         raise JournalError(f"{path.name}:{lineno}: checksum mismatch")
     return record
 
@@ -246,19 +238,6 @@ def _apply(state: SessionJournalState, record: dict, lineno: int) -> None:
         entry.trace_pointer = int(data.get("trace_pointer", -1))
 
 
-def _parse_crash_hook() -> Optional[Tuple[str, int]]:
-    spec = os.environ.get(SERVICE_CRASH_HOOK_ENV)
-    if not spec:
-        return None
-    try:
-        type_, count = spec.split(":")
-        return type_, int(count)
-    except ValueError:
-        raise JournalError(
-            f"bad {SERVICE_CRASH_HOOK_ENV}={spec!r} (expected '<type>:<count>')"
-        ) from None
-
-
 class SessionJournal:
     """The daemon's append-only, fsync'd, checksummed session ledger.
 
@@ -275,8 +254,8 @@ class SessionJournal:
         self.state = state
         self._handle = handle
         self._seq = state.records
-        self._crash_hook = _parse_crash_hook()
-        self._crash_counts: Dict[str, int] = {}
+        #: The deterministic SIGKILL test hook (see module docstring).
+        self._crash_hook = CrashHook(SERVICE_CRASH_HOOK_ENV, JournalError)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -323,18 +302,16 @@ class SessionJournal:
             "seq": self._seq,
             "type": type_,
             "data": data,
-            "crc": _record_checksum(
-                SESSION_JOURNAL_VERSION, self._seq, type_, data
-            ),
         }
-        line = (_canonical(record) + "\n").encode("utf-8")
+        record["crc"] = checksum(record)
+        line = (canonical_dumps(record) + "\n").encode("utf-8")
         self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._seq += 1
         _apply(self.state, record, self._seq)
         self.state.records = self._seq
-        self._maybe_crash(type_)
+        self._crash_hook(type_)
 
     def accepted(self, session_id: str, fingerprint: str, request: dict) -> None:
         self.append(
@@ -385,17 +362,3 @@ class SessionJournal:
     def lookup(self, session_id: str) -> Optional[SessionRecord]:
         """The journaled record for a token, or ``None`` if never seen."""
         return self.state.sessions.get(session_id)
-
-    # ------------------------------------------------------------ crash hook
-
-    def _maybe_crash(self, type_: str) -> None:
-        """The deterministic SIGKILL test hook (see module docstring)."""
-        if self._crash_hook is None:
-            return
-        hook_type, hook_count = self._crash_hook
-        if type_ != hook_type:
-            return
-        count = self._crash_counts.get(type_, 0) + 1
-        self._crash_counts[type_] = count
-        if count >= hook_count:
-            os.kill(os.getpid(), signal.SIGKILL)

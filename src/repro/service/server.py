@@ -39,6 +39,7 @@ import asyncio
 import logging
 import signal
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
@@ -103,7 +104,9 @@ class ServiceStats:
     infra: int = 0         # server-side failures (exit 3)
     replayed: int = 0      # tokened repeat submissions answered from the journal
     queries: int = 0       # QueryRequest frames served
-    error_codes: List[str] = field(default_factory=list)
+    #: Rejections per typed error code — bounded by ``ERROR_CODES``, not by
+    #: the daemon's lifetime.
+    error_codes: Counter = field(default_factory=Counter)
 
     def as_dict(self) -> dict:
         return {
@@ -402,7 +405,7 @@ class RenamingService:
             await self._execute_and_respond(session_id, writer, opened, tuple(ids))
         except _Reject as rej:
             self.stats.rejected += 1
-            self.stats.error_codes.append(rej.code)
+            self.stats.error_codes[rej.code] += 1
             log.info("session %d: rejected (%s): %s", session_id, rej.code, rej.detail)
             await self._send_best_effort(
                 writer,

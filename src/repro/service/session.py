@@ -18,26 +18,22 @@ The daemon hands a closed session to :func:`execute_session`, which
 
 With a :class:`~repro.analysis.supervisor.CellBudget`,
 :func:`execute_session_isolated` runs the same function in a disposable
-child process policed by the same
-:func:`~repro.analysis.supervisor.budget_breach` decision the sweep
-supervisor and the fabric workers use — a wall/RSS breach SIGKILLs the
-child and surfaces as a typed
+child process through :func:`~repro.analysis.supervisor.run_isolated`,
+the helper the fabric workers use for budgeted cells — a wall/RSS breach
+SIGKILLs the child and surfaces as a typed
 :class:`~repro.sim.errors.ResourceBudgetExceeded`, never as a wedged
 server.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from ..adversary import adversary_names, make_adversary
 from ..analysis.experiments import ALGORITHMS
 from ..analysis.properties import check_renaming
-from ..analysis.supervisor import CellBudget, budget_breach
+from ..analysis.supervisor import CellBudget, run_isolated
 from ..core import SystemParams
 from ..sim import (
     DEFAULT_ENGINE,
@@ -172,24 +168,13 @@ def execute_session(request: SessionRequest) -> SessionResult:
     )
 
 
-def _session_cell_main(request: SessionRequest, result_q) -> None:
-    """Child-process body for budget-isolated session execution."""
-    try:
-        result_q.put(("done", execute_session(request)))
-    except BaseException as exc:  # noqa: BLE001 — relayed, not hidden
-        try:
-            result_q.put(("raised", exc))
-        except Exception:  # unpicklable exception — degrade to its text
-            result_q.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
 def execute_session_isolated(
     request: SessionRequest,
     budget: CellBudget,
     *,
     poll_s: float = 0.05,
 ) -> SessionResult:
-    """One disposable child process, policed by :func:`budget_breach`.
+    """One disposable child process, policed by :func:`run_isolated`.
 
     A wall/RSS breach SIGKILLs the child and raises the typed
     :class:`~repro.sim.errors.ResourceBudgetExceeded`; typed errors raised
@@ -197,36 +182,14 @@ def execute_session_isolated(
     re-raised here identically, so callers cannot tell isolation from
     inline execution except by the budget actually being enforced.
     """
-    result_q: multiprocessing.Queue = multiprocessing.Queue()
-    process = multiprocessing.Process(
-        target=_session_cell_main, args=(request, result_q), daemon=True
-    )
-    process.start()
-    started = time.monotonic()
-    try:
-        while True:
-            process.join(timeout=poll_s)
-            if not process.is_alive():
-                break
-            breach = budget_breach(budget, started_at=started, pid=process.pid)
-            if breach is not None:
-                process.kill()
-                process.join(timeout=2.0)
-                raise ResourceBudgetExceeded(breach[1], violated=breach[0])
-        try:
-            kind, payload = result_q.get(timeout=1.0)
-        except queue.Empty:
-            raise ServiceInfraError(
-                f"session runner died mid-run (exit code {process.exitcode})"
-            ) from None
-        if kind == "done":
-            return payload
-        if kind == "raised":
-            raise payload
-        raise ServiceInfraError(payload)
-    finally:
-        result_q.close()
-        result_q.cancel_join_thread()
+    verdict = run_isolated(execute_session, (request,), budget, poll_s=poll_s)
+    if verdict.kind == "done":
+        return verdict.value
+    if verdict.kind == "raised":
+        raise verdict.value
+    if verdict.kind == "budget":
+        raise ResourceBudgetExceeded(verdict.detail, violated=verdict.violated)
+    raise ServiceInfraError(verdict.detail)
 
 
 def supported_attacks() -> Sequence[str]:

@@ -169,26 +169,36 @@ class TestExitCodeContract:
         capsys.readouterr()
 
     def test_unusable_journal_is_infra(self, capsys, tmp_path):
+        torn = tmp_path / "sessions.jsonl"
+        torn.write_text('{"v": 1, "seq": 0, "ty')
+        assert main(["sessions", "list", "--journal", str(torn)]) == EXIT_INFRA
+        assert "no header" in capsys.readouterr().err
         code = main(
-            ["runs", "resume", "missing", "--runs-dir", str(tmp_path)]
+            ["runs", "resume", "--store", str(tmp_path / "missing")]
         )
         assert code == EXIT_INFRA
-        assert "cannot read journal" in capsys.readouterr().err
+        assert "no result store" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_duplicate_run_id_is_infra(self, capsys, tmp_path):
         argv = [
             "sweep", "--algorithms", "alg1", "--sizes", "7:2", "--seeds", "0",
-            "--workers", "1", "--journal", str(tmp_path), "--run-id", "dup",
+            "--workers", "1", "--store", str(tmp_path / "dup"),
+            "--run-id", "dup",
         ]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        assert main(argv) == EXIT_INFRA
-        assert "already exists" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK  # the same run again: a resume
+        capsys.readouterr()
+        other = [("1" if arg == "0" else arg) for arg in argv]  # other grid
+        assert main(other) == EXIT_INFRA
+        assert "different config fingerprint" in capsys.readouterr().err
 
     def test_bad_run_id_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["runs", "resume", "../escape", "--runs-dir", "x"]
+                ["sweep", "--algorithms", "alg1", "--sizes", "7:2",
+                 "--store", "x", "--run-id", "../escape"]
             )
 
 
@@ -197,12 +207,12 @@ class TestRunsCommands:
         return main([
             "sweep", "--algorithms", "alg1", "--sizes", "7:2",
             "--seeds", "0", "1", "--workers", "1",
-            "--journal", str(tmp_path), "--run-id", run_id,
+            "--store", str(tmp_path / run_id), "--run-id", run_id,
         ])
 
     def test_list_empty(self, capsys, tmp_path):
         assert main(["runs", "list", "--runs-dir", str(tmp_path)]) == EXIT_OK
-        assert "no journals" in capsys.readouterr().out
+        assert "no result stores" in capsys.readouterr().out
 
     def test_journaled_sweep_then_list(self, capsys, tmp_path):
         assert self._journaled_sweep(tmp_path) == EXIT_OK
@@ -215,7 +225,7 @@ class TestRunsCommands:
         assert self._journaled_sweep(tmp_path) == EXIT_OK
         capsys.readouterr()
         code = main([
-            "runs", "resume", "r1", "--runs-dir", str(tmp_path),
+            "runs", "resume", "--store", str(tmp_path / "r1"),
             "--workers", "1",
         ])
         assert code == EXIT_OK
@@ -224,11 +234,11 @@ class TestRunsCommands:
 
     def test_doctor_asserts_no_reexecution(self, capsys, tmp_path):
         assert self._journaled_sweep(tmp_path) == EXIT_OK
-        main(["runs", "resume", "r1", "--runs-dir", str(tmp_path),
+        main(["runs", "resume", "--store", str(tmp_path / "r1"),
               "--workers", "1"])
         capsys.readouterr()
         code = main([
-            "runs", "doctor", "r1", "--runs-dir", str(tmp_path),
+            "runs", "doctor", "--store", str(tmp_path / "r1"),
             "--assert-no-reexecution",
         ])
         assert code == EXIT_OK
@@ -237,23 +247,23 @@ class TestRunsCommands:
         assert "complete" in out
 
     def test_doctor_missing_header_is_infra(self, capsys, tmp_path):
-        # A journal whose only line is torn has no header: damaged.
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"v": 1, "seq": 0, "ty')
-        code = main(["runs", "doctor", "bad", "--runs-dir", str(tmp_path)])
+        # A store directory whose header was never written: not a run.
+        (tmp_path / "bad").mkdir()
+        code = main(["runs", "doctor", "--store", str(tmp_path / "bad")])
         assert code == EXIT_INFRA
-        assert "no header" in capsys.readouterr().err
+        assert "not seeded" in capsys.readouterr().err
 
     def test_journaled_chaos_round_trip(self, capsys, tmp_path):
         argv = [
             "chaos", "--algorithms", "alg1", "--sizes", "7:2",
             "--seeds", "0", "--chaos-seeds", "0", "--drop", "0.2",
-            "--workers", "1", "--journal", str(tmp_path), "--run-id", "c1",
+            "--workers", "1", "--store", str(tmp_path / "c1"),
+            "--run-id", "c1",
         ]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
         code = main([
-            "runs", "resume", "c1", "--runs-dir", str(tmp_path),
+            "runs", "resume", "--store", str(tmp_path / "c1"),
             "--workers", "1",
         ])
         assert code == EXIT_OK

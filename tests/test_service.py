@@ -212,6 +212,31 @@ class TestTypedRejection:
 
         asyncio.run(main())
 
+    def test_error_log_stays_bounded_under_many_rejections(self):
+        """A long-lived daemon counts rejections per code; it does not keep
+        one entry per rejection for its whole lifetime."""
+
+        class NullWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+        async def main():
+            svc = RenamingService(install_signal_handlers=False)
+            frame = encode_frame(CloseSessionMessage())
+            for session_id in range(10_000):
+                reader = asyncio.StreamReader()
+                reader.feed_data(frame)
+                reader.feed_eof()
+                await svc._run_session(session_id, reader, NullWriter())
+            assert svc.stats.rejected == 10_000
+            assert svc.stats.error_codes["protocol"] == 10_000
+            assert len(svc.stats.error_codes) <= len(ERROR_CODES)
+
+        asyncio.run(main())
+
 
 class TestDeadlines:
     def test_slow_loris_gets_idle_timeout(self):

@@ -1,7 +1,6 @@
 """The durable session journal and the daemon's idempotency contract.
 
-File-level tests pin the ledger discipline (same envelope as the PR 5 run
-journal): checksummed records, torn-tail truncation, mid-file corruption
+File-level tests pin the ledger discipline: checksummed records, torn-tail truncation, mid-file corruption
 as a typed :class:`~repro.sim.errors.JournalError`, the deterministic
 SIGKILL hook. Daemon tests run a real :class:`RenamingService` on a
 loopback socket and prove the token contract end to end: same token →
@@ -109,13 +108,14 @@ class TestSessionJournalFile:
             scan_session_journal(path)
 
     def test_run_journal_is_rejected_by_kind(self, tmp_path):
-        from repro.analysis.journal import RunJournal
+        # A well-formed, correctly checksummed ledger of another kind.
+        from repro.analysis.journal import canonical_dumps, checksum
 
+        data = {"kind": "sweep", "run_id": "r", "cells": 1}
+        body = {"v": 1, "seq": 0, "type": "header", "data": data}
         path = tmp_path / "run.jsonl"
-        RunJournal.create(
-            path, run_id="r", kind="sweep", cells=1, config={}, fingerprint="f"
-        ).close()
-        with pytest.raises(JournalError):
+        path.write_text(canonical_dumps({**body, "crc": checksum(body)}) + "\n")
+        with pytest.raises(JournalError, match="not a session journal"):
             scan_session_journal(path)
 
     def test_terminal_record_first_wins(self, tmp_path):
