@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-vector smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
+.PHONY: test bench bench-vector smoke perf-smoke chaos-smoke resume-smoke fabric-smoke model-smoke bench-store service-smoke recovery-smoke bench-service
 
 ## Tier-1: the full unit/integration suite (what CI gates on).
 test:
@@ -33,6 +33,16 @@ smoke:
 	$(PYTHON) -m repro.cli sweep --algorithms alg1 okun-crash \
 		--sizes 4:1 5:1 --attacks silent crash --seeds 0 1 \
 		--workers 2 --engine reference
+
+## Benchmark smoke: a short traced paper-exact run of the repository
+## benchmark. Every run's output is checked and the counted pass is
+## repeated over the same seeds, so a protocol change that breaks the
+## paper's guarantees, the benchmark's output checks or its exact-repeat
+## guard ends in "correct": false, which fails this target.
+perf-smoke:
+	$(PYTHON) perfbench/run.py --workload paper-exact --seed 1 --seconds 5 \
+		--trace 1 | tail -n 1 | $(PYTHON) -c \
+		'import json, sys; r = json.load(sys.stdin); print("perf-smoke:", r); assert r["correct"] is True'
 
 ## Beyond-model fault-injection campaign on both engines via the chaos
 ## CLI. Exit 0 means the campaign is healthy (every injection classified,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from ..core.approximation import average, select_every_t, trim_extremes
+from ..core.approximation import trimmed_mean
 from ..core.messages import Rank
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
 from ..sim.process import Inbox, Outbox, Process, ProcessContext
@@ -80,8 +80,7 @@ class ApproximateAgreement(Process):
         votes = votes[: self.ctx.n]
         while len(votes) < self.ctx.n:
             votes.append(self.value)
-        surviving = trim_extremes(votes, self.trim)
-        self.value = average(select_every_t(surviving, self.trim))
+        self.value = trimmed_mean(votes, self.trim)
         self.ctx.log(round_no, "value", self.value)
         if round_no == self.rounds:
             self.output_value = self.value

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Set
 from ..core.approximation import approximate, nearest_int
 from ..core.messages import EchoMessage, IdMessage, Rank, RanksMessage
 from ..core.params import SystemParams
-from ..core.validation import is_sound_id, is_sound_vote, is_valid_ranks
+from ..core.validation import checked_vote, is_sound_id, is_valid_ranks
 from ..sim.errors import SafetyViolation
 from ..sim.process import Inbox, Outbox, Process, ProcessContext
 
@@ -130,8 +130,8 @@ class OkunCrashRenaming(Process):
         for link in sorted(inbox):
             for message in inbox[link]:
                 if isinstance(message, RanksMessage):
-                    vote = message.as_dict()
-                    if is_sound_vote(vote) and is_valid_ranks(
+                    vote = checked_vote(message)
+                    if vote.sound and is_valid_ranks(
                         self.timely, vote, self.delta
                     ):
                         votes.append(vote)

@@ -8,7 +8,8 @@
   2 rounds).
 * :class:`SystemParams` — every closed-form bound from the analysis.
 * Building blocks: :class:`IdSelectionPhase`, :func:`is_valid_ranks`,
-  :func:`approximate`, :func:`select_every_t`, :func:`trim_extremes`.
+  :func:`approximate`, :func:`select_every_t`, :func:`trim_extremes`,
+  :func:`trimmed_mean`.
 """
 
 from .approximation import (
@@ -17,6 +18,7 @@ from .approximation import (
     nearest_int,
     select_every_t,
     trim_extremes,
+    trimmed_mean,
 )
 from .constant import ConstantTimeRenaming
 from .fast import TWO_STEP_ROUNDS, TwoStepOptions, TwoStepPhase, TwoStepRenaming
@@ -69,4 +71,5 @@ __all__ = [
     "nearest_int",
     "select_every_t",
     "trim_extremes",
+    "trimmed_mean",
 ]

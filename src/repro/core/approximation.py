@@ -15,7 +15,11 @@ arrays received this round, it produces the next ranks array:
   the result inside the correct values' range.
 
 Pure functions over multisets; no I/O. Ranks may be ``Fraction`` (exact
-mode, the default — the paper's analysis verbatim) or ``float``.
+mode, the default — the paper's analysis verbatim) or ``float``. When every
+vote for an id is a ``Fraction``, the trim runs on integers: the votes are
+scaled to one common denominator, which preserves their order, so sorting,
+trimming and selecting the integer numerators picks the same values, and
+one ``Fraction`` is built from their sum at the end.
 """
 
 from __future__ import annotations
@@ -49,14 +53,31 @@ def select_every_t(ordered: Sequence[Rank], t: int) -> List[Rank]:
     """
     if not ordered:
         raise ValueError("select_t of an empty multiset")
-    if t == 0:
-        return list(ordered)
-    return [ordered[i] for i in range(0, len(ordered), t)]
+    return list(ordered[::t]) if t else list(ordered)
 
 
 def average(values: Sequence[Rank]) -> Rank:
-    """Arithmetic mean, exact under ``Fraction`` inputs."""
-    return sum(values) / len(values)
+    """Arithmetic mean: a ``Fraction`` unless a ``float`` is among the
+    values, so exact mode stays exact even when every value is an int."""
+    total = sum(values)
+    if isinstance(total, float):
+        return total / len(values)
+    return Fraction(total, len(values))
+
+
+def trimmed_mean(votes: Sequence[Rank], t: int) -> Rank:
+    """Alg. 3 lines 12–16: ``average(select_t(trim_extremes(votes)))``.
+
+    All-``Fraction`` votes take the exact integer-keyed path (see the
+    module docstring); ints, floats and mixed votes the general one.
+    """
+    if all(type(vote) is Fraction for vote in votes):
+        ratios = [vote.as_integer_ratio() for vote in votes]
+        common = math.lcm(*{denominator for _, denominator in ratios})
+        scaled = [numerator * (common // denominator) for numerator, denominator in ratios]
+        selected = select_every_t(trim_extremes(scaled, t), t)
+        return Fraction(sum(selected), common * len(selected))
+    return average(select_every_t(trim_extremes(votes, t), t))
 
 
 def approximate(
@@ -93,8 +114,7 @@ def approximate(
         votes = votes[:n]  # at most one valid vote per link; defensive cap
         while len(votes) < n:  # fill with own value (lines 10-11)
             votes.append(my_ranks[identifier])
-        surviving = trim_extremes(votes, trim)  # lines 12-15
-        new_ranks[identifier] = average(select_every_t(surviving, trim))  # line 16
+        new_ranks[identifier] = trimmed_mean(votes, trim)  # lines 12-16
     return new_ranks, new_accepted
 
 

@@ -30,14 +30,14 @@ selective echoing inflates Δ linearly in ``N`` and order preservation breaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..sim.compose import Phase, PhaseContext, PhaseSequence
 from ..sim.errors import SafetyViolation
 from ..sim.process import Inbox, ProcessContext, ordered_links
 from .messages import IdMessage, Message, MultiEchoMessage
 from .params import SystemParams
-from .validation import is_sound_id
+from .validation import CheckedEcho, checked_echo, is_sound_id
 
 #: Alg. 4's round count.
 TWO_STEP_ROUNDS = 2
@@ -96,31 +96,31 @@ class TwoStepPhase(Phase):
         """Round 2, lines 13–17: count echoes from valid MultiEchoes."""
         for link in ordered_links(inbox):
             echo = self._first_multiecho(inbox[link])
-            if echo is None or not self._is_valid(link, echo.ids):
+            if echo is None or not self._is_valid(link, echo):
                 continue
-            for identifier in set(echo.ids):
+            for identifier in echo.ids:
                 self.counter[identifier] = self.counter.get(identifier, 0) + 1
         self._ctx.log(TWO_STEP_ROUNDS, "counters", dict(self.counter))
 
     @staticmethod
-    def _first_multiecho(messages) -> Optional[MultiEchoMessage]:
+    def _first_multiecho(messages) -> Optional[CheckedEcho]:
         """First MultiEcho on a link; Byzantine duplicates are ignored so a
-        single link can never contribute more than one echo per id."""
+        single link can never contribute more than one echo per id. Its id
+        set and soundness are shared by every recipient of the broadcast."""
         for message in messages:
             if isinstance(message, MultiEchoMessage):
-                return message
+                return checked_echo(message)
         return None
 
-    def _is_valid(self, link: int, ids: Iterable[int]) -> bool:
+    def _is_valid(self, link: int, echo: CheckedEcho) -> bool:
         """Alg. 4's isValid: announced sender, ≤ N well-typed ids, ≥ N−t
         overlap. Structurally unsound ids anywhere in the echo condemn the
         whole message — an honest sender never produces them."""
-        id_set = set(ids)
         return (
             link in self.link_id
-            and len(id_set) <= self._ctx.n
-            and all(is_sound_id(identifier) for identifier in id_set)
-            and len(self.timely & id_set) >= self._ctx.n - self._ctx.t
+            and len(echo.ids) <= self._ctx.n
+            and echo.sound
+            and len(self.timely & echo.ids) >= self._ctx.n - self._ctx.t
         )
 
     def _choose_names(self) -> None:

@@ -13,6 +13,13 @@ Ranks travel as sorted tuples of pairs because dataclass fields must be
 hashable; :meth:`RanksMessage.as_dict` restores mapping form. Rank values are
 ``Fraction`` in exact mode or ``float`` in float mode — the wire format is
 agnostic.
+
+A broadcast reaches every recipient as one shared object, so the receiving
+side's per-message checks (:func:`repro.core.validation.checked_vote`,
+:func:`~repro.core.validation.checked_echo`) run once and leave their
+result on the message under :data:`MEMO_ATTR`. The memo lives outside the
+dataclass fields: ``==``, ``hash``, ``repr``, ``bit_size``, the wire bytes
+and pickles never see it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,18 @@ from typing import Dict, Mapping, Tuple, Union
 from ..sim.messages import KIND_BITS, Message, RANK_FRACTION_BITS
 
 Rank = Union[Rational, float]
+
+#: Instance attribute holding a message's receive-side memo.
+MEMO_ATTR = "_memo"
+
+
+class _Memoized:
+    """Pickle a message without its receive-side memo."""
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(MEMO_ATTR, None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,7 @@ class ReadyMessage(Message):
 
 
 @dataclass(frozen=True)
-class RanksMessage(Message):
+class RanksMessage(_Memoized, Message):
     """Voting-phase vote ``⟨AA, ranks⟩``: the sender's full ranks array."""
 
     entries: Tuple[Tuple[int, Rank], ...]
@@ -68,7 +87,7 @@ class RanksMessage(Message):
         return cls(entries=tuple(sorted(ranks.items())))
 
     def as_dict(self) -> Dict[int, Rank]:
-        """The ranks array as a mapping."""
+        """The ranks array as a fresh mapping the caller may keep or mutate."""
         return dict(self.entries)
 
     def bit_size(self, id_bits: int = 64, rank_bits: int = 16) -> int:
@@ -77,7 +96,7 @@ class RanksMessage(Message):
 
 
 @dataclass(frozen=True)
-class MultiEchoMessage(Message):
+class MultiEchoMessage(_Memoized, Message):
     """Alg. 4 step-2 echo ``⟨MULTIECHO, ids⟩``: every id seen in step 1."""
 
     ids: Tuple[int, ...]

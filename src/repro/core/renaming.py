@@ -36,7 +36,7 @@ from .approximation import approximate, nearest_int
 from .id_selection import ID_SELECTION_STEPS, IdSelectionPhase, IdSelectionResult
 from .messages import Message, Rank, RanksMessage
 from .params import SystemParams
-from .validation import is_sound_vote, is_valid_ranks
+from .validation import CheckedVote, checked_vote, is_valid_ranks
 
 #: Spacing tolerance used by ``isValid`` in float mode (see validation docs).
 FLOAT_TOLERANCE = 1e-9
@@ -197,16 +197,17 @@ class VotingPhase(Phase):
             self._ctx.log(step, "early_frozen", dict(self.ranks))
 
     @staticmethod
-    def _first_vote(messages) -> Optional[Dict[int, Rank]]:
+    def _first_vote(messages) -> Optional[CheckedVote]:
         """First AA vote on a link this round; extras on the same link are
         Byzantine double-voting and are ignored. Structurally unsound votes
         (non-int ids, NaN/inf ranks) are dropped before any arithmetic —
         hygiene, not semantics; ``isValid`` cannot be trusted to catch NaN
-        because NaN defeats every comparison."""
+        because NaN defeats every comparison. The vote and its soundness
+        verdict are shared by every recipient of the broadcast."""
         for message in messages:
             if isinstance(message, RanksMessage):
-                vote = message.as_dict()
-                return vote if is_sound_vote(vote) else None
+                vote = checked_vote(message)
+                return vote if vote.sound else None
         return None
 
     def _decide(self) -> None:

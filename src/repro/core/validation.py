@@ -11,15 +11,22 @@ overlapping values. ``isValid`` rejects any incoming ranks array that
 Correct processes always pass the filter (Lemma IV.4), and every vote that
 passes — Byzantine or not — approximates consistently with the original id
 order, which is exactly what Lemma A.3 needs.
+
+A broadcast vote reaches all ``N`` recipients as one shared message, so the
+parts of the check that do not depend on the recipient run once per
+message (:func:`checked_vote`): soundness, the key set, and whether the
+vote's *own* key set is δ-spaced. A recipient then only tests
+``timely ⊆ keys``; votes that are not δ-spaced as a whole take the
+per-recipient loop.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional
 
-from .messages import Rank
+from .messages import MEMO_ATTR, MultiEchoMessage, Rank, RanksMessage
 
 
 def is_sound_rank(value: object) -> bool:
@@ -60,6 +67,85 @@ def is_sound_vote(vote: Mapping[object, object]) -> bool:
     )
 
 
+class CheckedVote(dict):
+    """A received ranks array: a read-only mapping plus the verdicts that
+    depend only on the vote, computed once per message.
+
+    ``sound`` is :func:`is_sound_vote` and ``ids`` the key set;
+    :meth:`is_spaced` compares a threshold with the smallest rank gap
+    between consecutive ids of the sorted key set.
+    """
+
+    __slots__ = ("sound", "ids", "_gap")
+
+    def __init__(self, entries) -> None:
+        super().__init__(entries)
+        self.sound = is_sound_vote(self)
+        self.ids: FrozenSet[int] = frozenset(self)
+        self._gap = self._smallest_gap()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a received vote is read-only; copy it with dict()")
+
+    __setitem__ = __delitem__ = _read_only
+    clear = pop = popitem = setdefault = update = __ior__ = _read_only
+
+    def is_spaced(self, threshold: Rank) -> bool:
+        """True when every consecutive pair of the sorted key set is ranked
+        ``≥ threshold`` apart in a way that carries over to every subset
+        of the keys; False sends the caller to the pair-by-pair check."""
+        return self._gap is not None and self._gap >= threshold
+
+    def _smallest_gap(self) -> Optional[Rank]:
+        """The smallest consecutive gap, when it bounds every subset's gaps.
+
+        A subset's consecutive gap is a sum of consecutive gaps of the
+        whole set, so it is at least the smallest one as long as that is
+        ``≥ 0``: exactly for int/Fraction ranks, and for all-float ranks
+        because correctly rounded subtraction is monotone. Unsound votes,
+        votes mixing floats with exact ranks, and votes out of order give
+        None. With fewer than two keys no pair exists and any spacing holds.
+        """
+        if not self.sound:
+            return None
+        floats = sum(type(rank) is float for rank in self.values())
+        if floats not in (0, len(self)):
+            return None
+        ordered = sorted(self)
+        gap = min(
+            (self[larger] - self[smaller] for smaller, larger in zip(ordered, ordered[1:])),
+            default=math.inf,
+        )
+        return gap if gap >= 0 else None
+
+
+def checked_vote(message: RanksMessage) -> CheckedVote:
+    """The message's :class:`CheckedVote`, built on first delivery and
+    memoised on the message for every later recipient."""
+    vote = message.__dict__.get(MEMO_ATTR)
+    if vote is None:
+        vote = CheckedVote(message.entries)
+        object.__setattr__(message, MEMO_ATTR, vote)
+    return vote
+
+
+class CheckedEcho(NamedTuple):
+    """An Alg. 4 MultiEcho's id set and whether every id is sound."""
+
+    ids: FrozenSet[int]
+    sound: bool
+
+
+def checked_echo(message: MultiEchoMessage) -> CheckedEcho:
+    """The message's :class:`CheckedEcho`, memoised like :func:`checked_vote`."""
+    echo = message.__dict__.get(MEMO_ATTR)
+    if echo is None:
+        ids = frozenset(message.ids)
+        echo = CheckedEcho(ids, all(is_sound_id(identifier) for identifier in ids))
+        object.__setattr__(message, MEMO_ATTR, echo)
+    return echo
+
+
 def is_valid_ranks(
     timely: Iterable[int],
     ranks: Mapping[int, Rank],
@@ -74,13 +160,17 @@ def is_valid_ranks(
 
     Checking consecutive ids in the sorted ``timely`` set is equivalent to the
     paper's all-pairs loop: δ-spacing of consecutive pairs implies (additively
-    more than) δ-spacing of all pairs.
+    more than) δ-spacing of all pairs. By the same argument a
+    :class:`CheckedVote` that is δ-spaced over its whole key set is δ-spaced
+    over ``timely``, so only ``timely ⊆ keys`` is left to test.
     """
     # Keep the threshold exact when no tolerance applies: subtracting the
     # float 0.0 would coerce a Fraction delta to the nearest double, which
     # can land *above* delta and spuriously reject exactly-delta-spaced
     # honest votes.
     threshold = delta - tolerance if tolerance else delta
+    if isinstance(ranks, CheckedVote) and ranks.is_spaced(threshold):
+        return ranks.ids.issuperset(timely)
     ordered = sorted(set(timely))
     for identifier in ordered:
         if identifier not in ranks:

@@ -5,22 +5,29 @@ composition-layer refactor (hand-rolled round bookkeeping, subclass-override
 consensus), kept here so ``test_compose.py`` can prove the composed
 implementations are output- and trace-identical to them across the
 seed × attack matrix. They import only building blocks whose behaviour the
-refactor did not change (id selection, validation, approximation, the
-combined EIG, the interval splitter).
+refactor did not change (id selection, the combined EIG, the interval
+splitter).
+
+Alg. 2 (``is_valid_ranks`` and the soundness predicates) and Alg. 3
+(``approximate`` and its helpers) are frozen here too, as they stood
+before votes were checked once per message and trimmed as integers, so a
+change to the live hot path cannot hide from ``test_compose.py``;
+``test_validation_oracle.py`` compares the two directly.
 
 Do not "improve" these copies: their value is that they are the old code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.agreement.eig import EIGInteractiveConsistency
 from repro.agreement.identity import make_identified_factory
 from repro.baselines.splitting import ClaimMessage, IntervalSplitter, interval_rounds
-from repro.core.approximation import approximate, nearest_int
+from repro.core.approximation import nearest_int
 from repro.core.id_selection import ID_SELECTION_STEPS, IdSelectionPhase
 from repro.core.messages import (
     IdMessage,
@@ -31,8 +38,162 @@ from repro.core.messages import (
 from repro.core.params import SystemParams
 from repro.core.renaming import FLOAT_TOLERANCE, STABILITY_ROUNDS, RenamingOptions
 from repro.core.fast import TWO_STEP_ROUNDS, TwoStepOptions
-from repro.core.validation import is_sound_id, is_sound_vote, is_valid_ranks
 from repro.sim.process import Inbox, Outbox, Process, ProcessContext
+
+
+# ---------------------------------------------------------------------------
+# Alg. 2 — isValid and payload hygiene (frozen)
+# ---------------------------------------------------------------------------
+
+
+def is_sound_rank(value: object) -> bool:
+    """True when ``value`` is a usable rank: an int/Fraction, or a *finite*
+    float.
+
+    Byzantine senders control the full payload, and ``float('nan')`` is a
+    live grenade: every comparison against NaN is False, so a NaN-laden vote
+    sails through the ``< δ`` rejection in ``isValid``, survives trimming
+    unpredictably, and detonates at ``Round()`` — crashing a correct
+    process. (Found by adversarial testing; ``test_vote_hygiene.py`` keeps
+    it fixed.) Infinities are merely extreme values the trim handles, but we
+    reject them too: no honest rank is ever non-finite.
+    """
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, (int, Fraction)):
+        return True
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def is_sound_id(value: object) -> bool:
+    """True when ``value`` can be treated as an original id: a positive int.
+
+    Every ingestion point filters ids through this before adding them to any
+    set that will later be sorted — a Byzantine string id inside an
+    otherwise well-typed message would make ``sorted()`` raise at a correct
+    process (mixed-type comparison), a trivial remote crash.
+    """
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def is_sound_vote(vote: Mapping[object, object]) -> bool:
+    """Structural hygiene for a ranks array: int ids, sound rank values."""
+    return all(
+        is_sound_id(identifier) and is_sound_rank(value)
+        for identifier, value in vote.items()
+    )
+
+
+def is_valid_ranks(
+    timely: Iterable[int],
+    ranks: Mapping[int, Rank],
+    delta: Rank,
+    tolerance: float = 0.0,
+) -> bool:
+    """Algorithm 2: accept ``ranks`` only if consistent with ``timely``.
+
+    ``tolerance`` loosens the ``≥ δ`` spacing check and is 0 in exact
+    (Fraction) mode; float mode passes a small epsilon to absorb rounding in
+    repeated averaging (the paper's analysis is exact arithmetic).
+
+    Checking consecutive ids in the sorted ``timely`` set is equivalent to the
+    paper's all-pairs loop: δ-spacing of consecutive pairs implies (additively
+    more than) δ-spacing of all pairs.
+    """
+    # Keep the threshold exact when no tolerance applies: subtracting the
+    # float 0.0 would coerce a Fraction delta to the nearest double, which
+    # can land *above* delta and spuriously reject exactly-delta-spaced
+    # honest votes.
+    threshold = delta - tolerance if tolerance else delta
+    ordered = sorted(set(timely))
+    for identifier in ordered:
+        if identifier not in ranks:
+            return False
+    for smaller, larger in zip(ordered, ordered[1:]):
+        if ranks[larger] - ranks[smaller] < threshold:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Alg. 3 — approximate (frozen)
+# ---------------------------------------------------------------------------
+
+
+def trim_extremes(values: Sequence[Rank], t: int) -> List[Rank]:
+    """Sort ``values`` and drop the ``t`` smallest and ``t`` largest.
+
+    Alg. 3 lines 12–15. Requires ``len(values) > 2t`` so something survives.
+    """
+    if len(values) <= 2 * t:
+        raise ValueError(
+            f"cannot trim {t} extremes from each side of {len(values)} values"
+        )
+    ordered = sorted(values)
+    return ordered[t: len(ordered) - t] if t else ordered
+
+
+def select_every_t(ordered: Sequence[Rank], t: int) -> List[Rank]:
+    """``select_t``: the smallest element and every ``t``-th one after it.
+
+    For ``t = 0`` (no faults to defend against) every element is selected,
+    making the step a plain average. See DESIGN.md §8 for how this indexing
+    relates to the paper's σ_t count.
+    """
+    if not ordered:
+        raise ValueError("select_t of an empty multiset")
+    if t == 0:
+        return list(ordered)
+    return [ordered[i] for i in range(0, len(ordered), t)]
+
+
+def average(values: Sequence[Rank]) -> Rank:
+    """Arithmetic mean, exact under ``Fraction`` inputs."""
+    return sum(values) / len(values)
+
+
+def approximate(
+    my_ranks: Mapping[int, Rank],
+    accepted: Set[int],
+    valid_votes: Sequence[Mapping[int, Rank]],
+    n: int,
+    t: int,
+    trim: Optional[int] = None,
+) -> Tuple[Dict[int, Rank], Set[int]]:
+    """One full Alg. 3 step.
+
+    Returns ``(new_ranks, new_accepted)``; ids with insufficient vote support
+    are removed from the accepted set (Alg. 3 line 08 — "updates 'accepted'
+    multiset" in Alg. 1 line 35).
+
+    ``trim`` decouples the number of extreme values removed (and the
+    ``select`` stride) from the support threshold ``n − t``: the Byzantine
+    algorithm trims ``t`` (the default), while the crash-fault baseline of
+    Okun [14] trims nothing — every vote is honest there — and averages the
+    whole multiset.
+    """
+    if trim is None:
+        trim = t
+    new_ranks: Dict[int, Rank] = {}
+    new_accepted: Set[int] = set()
+    for identifier in accepted:
+        votes: List[Rank] = [
+            vote[identifier] for vote in valid_votes if identifier in vote
+        ]
+        if len(votes) < n - t:
+            continue  # discarded: not enough support (line 08)
+        new_accepted.add(identifier)
+        votes = votes[:n]  # at most one valid vote per link; defensive cap
+        while len(votes) < n:  # fill with own value (lines 10-11)
+            votes.append(my_ranks[identifier])
+        surviving = trim_extremes(votes, trim)  # lines 12-15
+        new_ranks[identifier] = average(select_every_t(surviving, trim))  # line 16
+    return new_ranks, new_accepted
+
+
+# ---------------------------------------------------------------------------
+# Protocols (frozen)
+# ---------------------------------------------------------------------------
 
 
 class LegacyOrderPreservingRenaming(Process):

@@ -30,6 +30,11 @@ class TestAlg1LargeScale:
             (25, 8, "divergence-valid"),
             (31, 10, "rank-skew"),
             (40, 13, "silent"),
+            # Where ⌊t²/(N−2t)⌋ and the 3⌈log₂ t⌉+7 round bound are large.
+            pytest.param(64, 21, "divergence-valid", marks=pytest.mark.slow),
+            pytest.param(64, 21, "silent", marks=pytest.mark.slow),
+            pytest.param(100, 33, "divergence-valid", marks=pytest.mark.slow),
+            pytest.param(100, 33, "silent", marks=pytest.mark.slow),
         ],
     )
     def test_properties_and_rounds(self, n, t, attack):

@@ -10,6 +10,7 @@ tests lock the sanitization layer in place across every protocol.
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,17 @@ from repro.core.messages import (
     RanksMessage,
     ReadyMessage,
 )
-from repro.core.validation import is_sound_id, is_sound_rank, is_sound_vote
+from repro.core.renaming import VotingPhase
+from repro.core.validation import (
+    checked_echo,
+    checked_vote,
+    is_sound_id,
+    is_sound_rank,
+    is_sound_vote,
+    is_valid_ranks,
+)
 from repro.sim import Adversary
+from repro.wire import decode_message, encode_message
 
 
 class PoisonAdversary(Adversary):
@@ -190,3 +200,110 @@ class TestPoisonResilience:
         for index in result.correct:
             value = result.outputs[index]
             assert min(correct_inputs) <= value <= max(correct_inputs)
+
+
+class TestReceiveMemo:
+    """Votes and echoes are checked once per message and the verdict is
+    left on the shared object; none of that may be visible as message
+    state, and the per-recipient answers must stay Alg. 2's."""
+
+    DELTA = SystemParams(7, 2).delta
+
+    def _vote_message(self):
+        return RanksMessage.from_dict({3: Fraction(1), 5: Fraction(5, 2), 9: Fraction(4)})
+
+    def _memoised(self, message):
+        if isinstance(message, RanksMessage):
+            vote = checked_vote(message)
+            assert is_valid_ranks({3, 9}, vote, self.DELTA)
+        else:
+            checked_echo(message)
+        return message
+
+    @pytest.mark.parametrize("build", [
+        lambda self: self._vote_message(),
+        lambda self: MultiEchoMessage.from_ids([4, 2, 9]),
+    ])
+    def test_memo_invisible_to_message_identity(self, build):
+        plain, memoised = build(self), self._memoised(build(self))
+        assert "_memo" in vars(memoised)
+        assert memoised == plain
+        assert hash(memoised) == hash(plain)
+        assert repr(memoised) == repr(plain)
+        assert memoised.bit_size() == plain.bit_size()
+        assert encode_message(memoised) == encode_message(plain)
+        assert pickle.dumps(memoised) == pickle.dumps(plain)
+        restored = pickle.loads(pickle.dumps(memoised))
+        assert restored == plain and "_memo" not in vars(restored)
+        assert decode_message(encode_message(memoised)) == plain
+
+    def test_memo_is_computed_once_per_message(self):
+        message = self._vote_message()
+        assert checked_vote(message) is checked_vote(message)
+        echo = MultiEchoMessage.from_ids([1, 2])
+        assert checked_echo(echo) is checked_echo(echo)
+
+    def test_as_dict_stays_fresh(self):
+        message = self._vote_message()
+        vote = checked_vote(message)
+        first, second = message.as_dict(), message.as_dict()
+        assert type(first) is dict and first is not second and first is not vote
+        first[3] = Fraction(100)
+        assert message.as_dict()[3] == Fraction(1) and vote[3] == Fraction(1)
+
+    def test_checked_vote_is_read_only(self):
+        vote = checked_vote(self._vote_message())
+        with pytest.raises(TypeError):
+            vote[3] = Fraction(2)
+        with pytest.raises(TypeError):
+            vote.update({4: Fraction(1)})
+        with pytest.raises(TypeError):
+            del vote[3]
+        assert dict(vote) == self._vote_message().as_dict()
+
+    @pytest.mark.parametrize("entries", [
+        ((7, float("nan")),),
+        ((7, Fraction(1)), (8, float("nan"))),
+        ((7, True),),
+        ((True, Fraction(1)),),
+        ((7, float("inf")),),
+    ])
+    def test_unsound_votes_still_dropped(self, entries):
+        message = RanksMessage(entries=entries)
+        assert VotingPhase._first_vote([message]) is None
+        assert not checked_vote(message).sound
+        # the memoised verdict is reused, not recomputed into a different one
+        assert VotingPhase._first_vote([message]) is None
+
+    def test_close_only_outside_timely_takes_fallback(self):
+        # 5 and 6 are ranked closer than δ; a recipient that counts only 3
+        # and 9 as timely must still accept the vote, one that counts 5
+        # and 6 must reject it.
+        vote = checked_vote(RanksMessage.from_dict(
+            {3: Fraction(1), 5: Fraction(3), 6: Fraction(31, 10), 9: Fraction(5)}
+        ))
+        assert not vote.is_spaced(self.DELTA)
+        assert is_valid_ranks({3, 9}, vote, self.DELTA)
+        assert is_valid_ranks({3, 5, 9}, vote, self.DELTA)
+        assert not is_valid_ranks({5, 6}, vote, self.DELTA)
+        assert not is_valid_ranks({3, 4}, vote, self.DELTA)
+
+    def test_spaced_vote_needs_only_membership(self):
+        vote = checked_vote(RanksMessage.from_dict(
+            {3: Fraction(1), 5: 1 + self.DELTA, 9: 1 + 2 * self.DELTA}
+        ))
+        assert vote.is_spaced(self.DELTA)
+        assert is_valid_ranks({3, 9}, vote, self.DELTA)
+        assert is_valid_ranks(set(), vote, self.DELTA)
+        assert not is_valid_ranks({3, 4}, vote, self.DELTA)
+
+    def test_mixed_float_and_exact_votes_are_checked_per_recipient(self):
+        vote = checked_vote(RanksMessage.from_dict({3: Fraction(1), 5: 3.0}))
+        assert vote.sound and not vote.is_spaced(Fraction(1))
+        assert is_valid_ranks({3, 5}, vote, Fraction(1))
+
+    def test_unsound_echo_ids_condemn_the_echo(self):
+        assert not checked_echo(MultiEchoMessage(ids=("a", 5, None))).sound
+        assert not checked_echo(MultiEchoMessage(ids=(3, True))).sound
+        echo = checked_echo(MultiEchoMessage.from_ids([5, 3, 5]))
+        assert echo.sound and echo.ids == frozenset({3, 5})
