@@ -129,6 +129,11 @@ class PhaseSequence(Process):
 
     ``finish`` maps the final phase's result to the process output
     (default: the result itself, which must then be non-``None``).
+
+    A builder is dropped once it has run. Builders are often bound methods
+    of the sequence itself, so keeping them would make every finished
+    process a reference cycle that only the cyclic garbage collector
+    frees.
     """
 
     def __init__(
@@ -140,13 +145,13 @@ class PhaseSequence(Process):
         super().__init__(ctx)
         if not builders:
             raise ValueError("a phase sequence needs at least one phase")
-        self._builders = list(builders)
+        first, *rest = builders
+        self._pending = rest[::-1]  # popped from the end, in order
         self._finish = finish
-        self._index = 0
         self._offset = 0
         #: Completion results of the phases finished so far, in order.
         self.results: List[object] = []
-        self.phase: Phase = self._builders[0](PhaseContext(ctx, 0), None)
+        self.phase: Phase = first(PhaseContext(ctx, 0), None)
 
     # ------------------------------------------------------------------ rounds
 
@@ -164,12 +169,9 @@ class PhaseSequence(Process):
     def _advance(self, round_no: int) -> None:
         outcome = self.phase.result()
         self.results.append(outcome)
-        self._index += 1
-        if self._index < len(self._builders):
+        if self._pending:
             self._offset = round_no
-            self.phase = self._builders[self._index](
-                PhaseContext(self.ctx, round_no), outcome
-            )
+            self.phase = self._pending.pop()(PhaseContext(self.ctx, round_no), outcome)
         else:
             self.output_value = (
                 outcome if self._finish is None else self._finish(outcome)

@@ -14,6 +14,12 @@ before votes were checked once per message and trimmed as integers, so a
 change to the live hot path cannot hide from ``test_compose.py``;
 ``test_validation_oracle.py`` compares the two directly.
 
+The voting-phase attacks' forging is frozen as it stood before it built
+one vote per audience: one ``RanksMessage`` per peer, from the old
+``forge_vote`` bodies. The classes reuse the live attacks' constructors
+and protocol-driving plumbing, which that change left alone;
+``test_attack_internals.py`` compares what every peer receives.
+
 Do not "improve" these copies: their value is that they are the old code.
 """
 
@@ -24,6 +30,15 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.adversary.base import per_link_outbox
+from repro.adversary.rank_attacks import (
+    BoundaryVoteAdversary,
+    OrderInversionAdversary,
+    RankCompressionAdversary,
+    RankSkewAdversary,
+    respaced,
+    shifted,
+)
 from repro.agreement.eig import EIGInteractiveConsistency
 from repro.agreement.identity import make_identified_factory
 from repro.baselines.splitting import ClaimMessage, IntervalSplitter, interval_rounds
@@ -38,6 +53,7 @@ from repro.core.messages import (
 from repro.core.params import SystemParams
 from repro.core.renaming import FLOAT_TOLERANCE, STABILITY_ROUNDS, RenamingOptions
 from repro.core.fast import TWO_STEP_ROUNDS, TwoStepOptions
+from repro.sim.messages import Message
 from repro.sim.process import Inbox, Outbox, Process, ProcessContext
 
 
@@ -494,3 +510,70 @@ def legacy_consensus_factory(n: int, ids: Sequence[int], seed: int):
     return make_identified_factory(
         n, ids, seed, lambda ctx, me, links: LegacyConsensusRenaming(ctx, me, links)
     )
+
+
+# ---------------------------------------------------------------------------
+# Voting-phase attacks — per-peer forging (frozen)
+# ---------------------------------------------------------------------------
+
+
+class _LegacyVotingPhaseForging:
+    """Shared plumbing: faithful until round 4, forged votes afterwards."""
+
+    def mutate_outbox(self, round_no, index, genuine: Outbox, correct_outboxes) -> Outbox:
+        if round_no <= ID_SELECTION_STEPS:
+            return genuine
+        process = self.instance(index)
+        # Duck-typed: anything exposing ranks/delta/params quacks like
+        # Alg. 1 (incl. the frozen pre-refactor reference copies the
+        # differential tests run) — forging only needs those attributes.
+        ranks = getattr(process, "ranks", None)
+        if not ranks or not hasattr(process, "delta"):
+            return genuine
+        content: Dict[int, List[Message]] = {}
+        for position, peer in enumerate(range(self.ctx.n)):
+            vote = self.forge_vote(round_no, index, position, peer, process)
+            content[peer] = [RanksMessage.from_dict(vote)]
+        return per_link_outbox(content, sender=index, topology=self.ctx.topology)
+
+
+class LegacyRankSkewAdversary(_LegacyVotingPhaseForging, RankSkewAdversary):
+    def forge_vote(self, round_no, index, position, peer, process):
+        magnitude = self._magnitude
+        if magnitude is None:
+            magnitude = Fraction(max(self.ctx.t, 1)) * process.delta
+        sign = 1 if peer % 2 == 0 else -1
+        return shifted(process.ranks, sign * magnitude)
+
+
+class LegacyRankCompressionAdversary(_LegacyVotingPhaseForging, RankCompressionAdversary):
+    def forge_vote(self, round_no, index, position, peer, process):
+        delta = process.delta
+        if peer % 2 == 0:
+            return respaced(process.ranks, delta, delta)
+        return respaced(process.ranks, 2 * delta, delta)
+
+
+class LegacyOrderInversionAdversary(_LegacyVotingPhaseForging, OrderInversionAdversary):
+    def forge_vote(self, round_no, index, position, peer, process):
+        ordered = sorted(process.ranks)
+        forged = dict(process.ranks)
+        for low, high in zip(ordered[::2], ordered[1::2]):
+            forged[low], forged[high] = forged[high], forged[low]
+        return forged
+
+
+class LegacyBoundaryVoteAdversary(_LegacyVotingPhaseForging, BoundaryVoteAdversary):
+    def forge_vote(self, round_no, index, position, peer, process):
+        spread = process.params.initial_spread_bound
+        sign = 1 if index % 2 == 0 else -1
+        return shifted(process.ranks, sign * spread)
+
+
+#: Registered attack name → its frozen per-peer forging.
+LEGACY_VOTING_ATTACKS = {
+    "rank-skew": LegacyRankSkewAdversary,
+    "rank-compression": LegacyRankCompressionAdversary,
+    "order-inversion": LegacyOrderInversionAdversary,
+    "boundary-votes": LegacyBoundaryVoteAdversary,
+}

@@ -7,9 +7,12 @@ silently weakens every "properties hold under attack" test.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from helpers import standard_ids
+from legacy_reference import LEGACY_VOTING_ATTACKS
 from repro import OrderPreservingRenaming, TwoStepRenaming, run_protocol
 from repro.adversary import (
     AsymmetricForgingAdversary,
@@ -17,7 +20,11 @@ from repro.adversary import (
     IdForgingAdversary,
     SelectiveEchoAdversary,
     SplitWorldAdversary,
+    make_adversary,
 )
+from repro.core import RanksMessage
+from repro.core.id_selection import ID_SELECTION_STEPS
+from repro.core.renaming import RenamingOptions
 
 
 def bind_against(adversary, factory=OrderPreservingRenaming, n=7, t=2, seed=0):
@@ -185,3 +192,50 @@ class TestSplitWorldInternals:
             audiences = adversary._audience[slot]
             assert len(audiences[first]) == 7 - 2 * 2  # N - 2t
             assert len(audiences[first]) + len(audiences[second]) == 5
+
+
+def recording(adversary):
+    """Wrap ``adversary.mutate_outbox`` to keep every outbox it returns,
+    keyed by ``(round, faulty slot)``."""
+    outboxes = {}
+    mutate = adversary.mutate_outbox
+
+    def record(round_no, index, genuine, correct_outboxes):
+        outbox = mutate(round_no, index, genuine, correct_outboxes)
+        outboxes[round_no, index] = outbox
+        return outbox
+
+    adversary.mutate_outbox = record
+    return outboxes
+
+
+class TestVotingPhaseForging:
+    """The voting-phase attacks forge one vote per audience; every peer
+    must still receive what the frozen per-peer forging sent it."""
+
+    @pytest.mark.parametrize("attack", sorted(LEGACY_VOTING_ATTACKS))
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n,t,seed", [(7, 2, 0), (10, 3, 1), (13, 4, 2)])
+    def test_every_peer_gets_the_frozen_vote(self, attack, exact, n, t, seed):
+        factory = partial(
+            OrderPreservingRenaming, options=RenamingOptions(exact_arithmetic=exact)
+        )
+        live, frozen = make_adversary(attack), LEGACY_VOTING_ATTACKS[attack]()
+        live_outboxes, frozen_outboxes = recording(live), recording(frozen)
+        runs = [
+            run_protocol(
+                factory, n=n, t=t, ids=standard_ids(n), adversary=adversary,
+                seed=seed, collect_trace=True,
+            )
+            for adversary in (live, frozen)
+        ]
+        assert list(runs[0].trace) == list(runs[1].trace)
+        assert live_outboxes.keys() == frozen_outboxes.keys()
+        voting = [key for key in live_outboxes if key[0] > ID_SELECTION_STEPS]
+        assert voting, "the attack never reached the voting phase"
+        for key in voting:
+            live_box, frozen_box = live_outboxes[key], frozen_outboxes[key]
+            assert live_box == frozen_box, key
+            votes = [message for messages in live_box.values() for message in messages]
+            assert len(votes) == n and all(isinstance(m, RanksMessage) for m in votes)
+            assert len({id(message) for message in votes}) <= 2, key

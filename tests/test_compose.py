@@ -22,6 +22,8 @@ Two halves:
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from helpers import assert_renaming_ok, standard_ids
@@ -33,7 +35,7 @@ from legacy_reference import (
     legacy_consensus_factory,
 )
 from repro.adversary import ALG1_ATTACKS, ALG4_ATTACKS, make_adversary
-from repro.analysis.experiments import CRASH_ATTACKS
+from repro.analysis.experiments import CRASH_ATTACKS, run_experiment
 from repro.baselines import TranslatedByzantineRenaming, consensus_renaming_factory
 from repro.core import (
     ConstantTimeRenaming,
@@ -54,6 +56,7 @@ from repro.sim import (
     run_protocol,
 )
 from repro.wire import WireError, decode_message, encode_message, encoded_bits
+from repro.workloads import make_ids
 
 SEEDS = range(20)
 
@@ -344,6 +347,31 @@ class TestPhaseSequence:
             seq.send(round_no)
             seq.deliver(round_no, {})
         assert events == [(1, "first"), (2, "first"), (3, "second"), (4, "second")]
+
+    @pytest.mark.parametrize(
+        "algorithm,n,t,attack",
+        [
+            ("alg1", 16, 5, "silent"),
+            ("alg1", 16, 5, "rank-skew"),
+            ("alg1-constant", 25, 4, "silent"),
+            ("alg4", 11, 2, "selective-echo"),
+            ("translated", 10, 3, "silent"),
+        ],
+    )
+    def test_finished_run_leaves_no_cyclic_garbage(self, algorithm, n, t, attack):
+        """A finished run is freed by reference counting alone: no process
+        keeps its own bound-method builders alive in a cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            record = run_experiment(
+                algorithm, n, t, make_ids("uniform", n, seed=0), attack=attack
+            )
+            assert record.report.ok
+            del record
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_id_selection_is_a_phase(self):
         phase = IdSelectionPhase(4, 1, 10)

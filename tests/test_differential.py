@@ -58,7 +58,16 @@ class TestWireFidelity:
     nothing — the codec carries the full protocol losslessly."""
 
     @pytest.mark.parametrize(
-        "attack", ["silent", "id-forging", "divergence", "rank-skew"]
+        "attack",
+        [
+            "silent",
+            "id-forging",
+            "divergence",
+            "rank-skew",
+            "rank-compression",
+            "order-inversion",
+            "boundary-votes",
+        ],
     )
     def test_alg1_through_wire(self, attack):
         kwargs = dict(

@@ -35,6 +35,9 @@ class TestAlg1LargeScale:
             pytest.param(64, 21, "silent", marks=pytest.mark.slow),
             pytest.param(100, 33, "divergence-valid", marks=pytest.mark.slow),
             pytest.param(100, 33, "silent", marks=pytest.mark.slow),
+            # The slowest alg1 attack: two forged votes per faulty sender.
+            pytest.param(64, 21, "rank-skew", marks=pytest.mark.slow),
+            pytest.param(100, 33, "rank-skew", marks=pytest.mark.slow),
         ],
     )
     def test_properties_and_rounds(self, n, t, attack):

@@ -1,12 +1,13 @@
 """Live Alg. 2/3 hot path vs the frozen copies in ``legacy_reference.py``.
 
 The live ``is_valid_ranks`` answers from a once-per-message memo when the
-whole vote is δ-spaced, and the live ``approximate`` trims all-``Fraction``
-votes as integers over a common denominator. Both must give the frozen
-code's answers: equal verdicts, and results equal in value and type. The
-one intended difference is the all-int selection, where the frozen
-``average`` leaked a float into exact mode and the live one returns a
-``Fraction`` of the same value.
+whole vote is δ-spaced (for all-``Fraction`` votes the smallest gap comes
+from the vote's integer form), and the live ``approximate`` folds
+all-``Fraction`` votes as integers over one common denominator. Both must
+give the frozen code's answers: equal verdicts, and results equal in value
+and type. The one intended difference is the all-int selection, where the
+frozen ``average`` leaked a float into exact mode and the live one returns
+a ``Fraction`` of the same value.
 
 Votes are built the way a recipient sees them — ``RanksMessage(entries=…)``
 with unsorted or duplicate entries — and one message is checked against
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 import legacy_reference as frozen
 from repro.core import SystemParams
-from repro.core.approximation import approximate
+from repro.core.approximation import _common_denominator, approximate
 from repro.core.messages import RanksMessage
-from repro.core.validation import checked_vote, is_valid_ranks
+from repro.core.validation import CheckedVote, checked_vote, is_valid_ranks
 
 IDS = st.integers(1, 12)
 
@@ -194,3 +195,121 @@ def test_all_int_selection_stays_exact():
     assert type(new_ranks[1]) is Fraction
     old_ranks, _ = frozen.approximate({1: Fraction(1)}, {1}, votes, 7, 2)
     assert old_ranks == {1: 1.5} and type(old_ranks[1]) is float
+
+
+#: Denominators a vote may use: small ones, and large pairwise coprime ones
+#: (a Byzantine vote over a huge prime raises the common denominator of
+#: every id in the integer fold).
+DENOMINATORS = [1, 2, 3, 7, 12, 10**9 + 7, 998244353, 2**61 - 1]
+
+exact_st = st.builds(
+    Fraction, st.integers(-10**4, 10**4), st.sampled_from(DENOMINATORS)
+)
+
+
+def rank_of(draw, kind):
+    if kind == "mixed":
+        kind = draw(st.sampled_from(["fraction", "int", "float"]))
+    value = draw(exact_st)
+    return as_kind(value, kind)
+
+
+@st.composite
+def fold_inputs(draw):
+    """Alg. 3 inputs aimed at the integer fold: per-id support of exactly
+    ``n − t`` or ``n − t − 1`` (or full, or more votes than links), votes
+    missing ids, ``CheckedVote`` and plain-dict votes, and one rank kind
+    for all values — or a mix."""
+    t = draw(st.integers(0, 3))
+    n = draw(st.integers(2 * t + 1, 2 * t + 6))
+    accepted = sorted(draw(st.sets(IDS, min_size=1, max_size=5)))
+    kind = draw(st.sampled_from(["fraction"] * 4 + ["int", "float", "mixed"]))
+    my_ranks = {identifier: rank_of(draw, kind) for identifier in accepted}
+    voters = draw(st.integers(max(n - t - 1, 0), n + 2))
+    votes = [dict() for _ in range(voters)]
+    for identifier in accepted + [99]:
+        support = draw(st.sampled_from([n - t, n - t - 1, n, voters, 0]))
+        support = max(0, min(support, voters))
+        for vote in draw(st.permutations(votes))[:support]:
+            vote[identifier] = rank_of(draw, kind)
+    wrapping = draw(st.sampled_from(["checked", "checked", "plain", "mixed"]))
+    votes = [
+        checked_vote(RanksMessage.from_dict(vote))
+        if wrapping == "checked" or (wrapping == "mixed" and draw(st.booleans()))
+        else vote
+        for vote in votes
+    ]
+    return my_ranks, set(accepted), votes, n, t
+
+
+@settings(max_examples=600, deadline=None)
+@given(fold_inputs(), st.booleans())
+@example(({1: Fraction(1, 3), 2: Fraction(2, 3)}, {1, 2},
+          [checked_vote(RanksMessage.from_dict({1: Fraction(1, 3), 2: Fraction(1, 2**61 - 1)})),
+           checked_vote(RanksMessage.from_dict({1: Fraction(1, 7), 2: Fraction(5, 7)})),
+           checked_vote(RanksMessage.from_dict({2: Fraction(4, 3)}))], 4, 1), False)
+# Padding needs the local ranks over the common denominator, and the
+# votes' denominators do not cover them.
+@example(({1: Fraction(1, 998244353), 2: Fraction(1, 10**9 + 7)}, {1, 2},
+          [checked_vote(RanksMessage.from_dict({1: Fraction(k), 2: Fraction(k)}))
+           for k in (1, 2, 3)], 4, 1), False)
+def test_integer_fold_matches_frozen(inputs, untrimmed):
+    my_ranks, accepted, votes, n, t = inputs
+    trim = 0 if untrimmed else t
+    live_ranks, live_accepted = approximate(my_ranks, set(accepted), votes, n, t, trim)
+    old_ranks, old_accepted = frozen.approximate(my_ranks, set(accepted), votes, n, t, trim)
+    assert live_accepted == old_accepted
+    assert list(live_ranks) == list(old_ranks)  # same id order in the trace
+    for identifier, live in live_ranks.items():
+        support = [vote[identifier] for vote in votes if identifier in vote]
+        assert_same_rank(live, old_ranks[identifier],
+                         selected_votes(my_ranks[identifier], support, n, trim))
+    exact = all(
+        isinstance(vote, CheckedVote) and vote.exact is not None for vote in votes
+    ) and all(type(rank) is Fraction for rank in my_ranks.values())
+    # The integer fold runs exactly when every input is exact.
+    assert (_common_denominator(my_ranks, accepted, votes) is not None) == exact
+
+
+@st.composite
+def exact_gap_cases(draw):
+    """All-``Fraction`` votes near δ-spacing over large coprime
+    denominators, possibly out of order, and recipients' timely sets."""
+    exact_delta = draw(st.sampled_from(EXACT_DELTAS))
+    ids = sorted(draw(st.sets(IDS, min_size=1, max_size=8)))
+    rank = draw(exact_st)
+    gaps = [exact_delta] * 4 + [
+        exact_delta + Fraction(1, 10**9 + 7), exact_delta - Fraction(1, 998244353),
+        exact_delta - Fraction(1, 2**61 - 1), 2 * exact_delta, Fraction(0),
+        # One unit under δ over δ's own denominator.
+        exact_delta - Fraction(1, exact_delta.denominator),
+        -Fraction(1, 2**61 - 1), -exact_delta,
+    ]
+    entries = []
+    for identifier in ids:
+        entries.append((identifier, rank))
+        rank += draw(st.sampled_from(gaps))
+    entries = draw(st.permutations(entries))
+    float_mode = draw(st.booleans())
+    delta = float(exact_delta) if float_mode else exact_delta
+    tolerance = draw(st.sampled_from([0.0, 0.0, 1e-9]))
+    recipients = draw(st.lists(st.sets(st.sampled_from(ids + [13])), min_size=1, max_size=4))
+    return RanksMessage(entries=tuple(entries)), recipients, delta, tolerance
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact_gap_cases())
+# Exactly δ apart over a huge prime denominator, and one pair just under.
+@example((RanksMessage(entries=((1, Fraction(1, 2**61 - 1)),
+                                (2, Fraction(1, 2**61 - 1) + DELTA))),
+          [{1, 2}], DELTA, 0.0))
+@example((RanksMessage(entries=((2, Fraction(1, 998244353) + DELTA - Fraction(1, 10**9 + 7)),
+                                (1, Fraction(1, 998244353)))),
+          [{1, 2}, {1}], DELTA, 0.0))
+def test_integer_gap_matches_frozen(case):
+    message, recipients, delta, tolerance = case
+    vote = checked_vote(message)
+    assert vote.exact is not None
+    for timely in recipients:
+        expected = frozen.is_valid_ranks(timely, message.as_dict(), delta, tolerance)
+        assert is_valid_ranks(timely, vote, delta, tolerance) == expected, timely
