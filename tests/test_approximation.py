@@ -43,6 +43,12 @@ class TestTrimExtremes:
         assert len(survivors) == len(values) - 2 * t
         assert min(values) <= survivors[0] and survivors[-1] <= max(values)
 
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30), st.integers(0, 6))
+    def test_stride_t_is_select_t_of_the_trim(self, values, t):
+        if len(values) <= 2 * t:
+            return
+        assert trim_extremes(values, t, t or 1) == select_every_t(trim_extremes(values, t), t)
+
 
 class TestSelectEveryT:
     def test_selects_every_t_th_from_smallest(self):
